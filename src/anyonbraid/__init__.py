@@ -9,8 +9,8 @@ from .braid import (BraidWord, RepContext, braid_generator, braid_generator_inve
 from .fusion import FusionLabel, FusionPath, count_paths, enumerate_paths
 from .gamma import compress_matrix, expand_matrix, gamma, gamma_f, projector
 from .gf2 import BitMatrix, is_symplectic, omega_matrix
-from .groups import (EnumerationCapExceeded, GroupEnumeration, bfs_closure,
-                     braid_image, dimino, enumerate_group, monodromy_equals_pauli)
+from .groups import (EnumerationCapExceeded, GroupEnumeration, braid_image, dimino,
+                     enumerate_group, monodromy_equals_pauli)
 from .matrix import DenseMatrix
 from .pauli import PauliElement, pauli_basis_decompose, symplectic_form
 from .ring import CycScalar
@@ -25,7 +25,7 @@ __all__ = [
     "BitMatrix", "BraidWord", "CliffordAction", "CycScalar", "DenseMatrix",
     "EnumerationCapExceeded", "FusionLabel", "FusionPath", "GroupEnumeration",
     "NonClifford", "PauliElement", "RepContext", "SynthResult",
-    "bfs_closure", "braid_generator", "braid_generator_inverse", "braid_image",
+    "braid_generator", "braid_generator_inverse", "braid_image",
     "braid_symplectic", "clifford_check", "clifford_word_via_quotient",
     "compress_matrix", "count_paths", "coverage_ratio", "dimino",
     "enumerate_group", "enumerate_paths", "eval_word", "exact_clifford_word",

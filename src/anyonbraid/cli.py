@@ -3,9 +3,7 @@
 Every subcommand writes JSON to stdout (or a text rendering with
 --format text) and is deterministic for fixed flags.  Exit codes: 0 on
 success, 1 when a verification-style command finds a failure, 2 on usage
-errors.  The ANYONBRAID_THREADS environment variable is accepted for
-interface compatibility; this implementation is sequential (and therefore
-trivially deterministic).
+errors.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
-"""Exact enumeration of finite matrix groups (Dimino's inductive closure,
-with a plain BFS closure kept as a cross-check oracle), plus the derived
-order/center/membership queries used to certify the group-order and
-reachability claims.
+"""Exact enumeration of finite matrix groups by Dimino's inductive closure,
+plus the derived order/center/membership queries used to certify the
+group-order and reachability claims.
 
 Strict mode enumerates matrices as-is; projective mode enumerates the
 phase-stripped canonical forms produced by projective_canonical (multiply
@@ -89,26 +88,6 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP) -> lis
     return order
 
 
-def bfs_closure(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP) -> list:
-    """Plain breadth-first closure; oracle for cross-checking dimino."""
-    elements = {identity: None}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                y = mul(x, g)
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise EnumerationCapExceeded(cap)
-                    elements[y] = None
-                    order.append(y)
-                    new.append(y)
-        frontier = new
-    return order
-
-
 @dataclass(frozen=True)
 class GroupEnumeration:
     generators: tuple
@@ -156,10 +135,10 @@ def _commutes(x, g, mode) -> bool:
 
 
 def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
-                    identity=None, algorithm: str = "dimino") -> GroupEnumeration:
+                    identity=None) -> GroupEnumeration:
     """Enumerate the matrix group generated by `generators`.
 
-    Generators must be square, same-dimensional and invertible; projective
+    Generators must be square, same-dimensional and unitary; projective
     mode enumerates global-phase classes.
     """
     if mode not in ("strict", "projective"):
@@ -172,8 +151,8 @@ def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
         for g in gens:
             if g.dim != dim:
                 raise ValueError("generators must share a dimension")
-            if g.det().is_zero():
-                raise ValueError("non-invertible generator")
+            if not g.is_unitary():
+                raise ValueError("non-unitary generator")
         if identity is None:
             identity = DenseMatrix.identity(dim)
     elif identity is None:
@@ -183,20 +162,18 @@ def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
         mul = _projective_mul
         gens = [g.projective_canonical()[1] for g in gens]
         identity = identity.projective_canonical()[1]
-    close = dimino if algorithm == "dimino" else bfs_closure
-    elements = close(gens, identity, mul, cap)
+    elements = dimino(gens, identity, mul, cap)
     keys = frozenset(e.key() if isinstance(e, DenseMatrix) else e for e in elements)
     return GroupEnumeration(tuple(gens), mode, tuple(elements), keys)
 
 
 @lru_cache(maxsize=None)
-def braid_image(n: int, parity: int = 1, mode: str = "strict",
-                algorithm: str = "dimino") -> GroupEnumeration:
+def braid_image(n: int, parity: int = 1, mode: str = "strict") -> GroupEnumeration:
     """Enumeration of the image of the braid group on 2n+2 strands in the
     compressed n-qubit representation."""
     ctx = RepContext(n, parity)
     gens = [braid_generator(ctx, j) for j in range(1, ctx.generator_count + 1)]
-    return enumerate_group(gens, mode=mode, algorithm=algorithm)
+    return enumerate_group(gens, mode=mode)
 
 
 @lru_cache(maxsize=None)

@@ -1,30 +1,33 @@
 """Dense square matrices over the exact scalar ring.
 
-A matrix is stored as four integer coefficient planes (one per power of
+A matrix is stored as four int64 coefficient planes (one per power of
 z = exp(i*pi/4)) plus a shared power-of-two denominator, kept in normal
-form so equality and hashing are exact.  Plane arithmetic runs on int64
-numpy arrays and falls back to Python bigints when a product could
-overflow, so results are always exact.
+form so equality and hashing are exact.  Every product folds its partial
+products through ring.zfold.  An operation whose exact result could reach
+2^62 in magnitude raises ValueError instead of wrapping around, so every
+result is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ring import CycScalar
+from .ring import CycScalar, zfold
 
 _INT64_SAFE = 1 << 62
 
 
-def _as_object(planes: np.ndarray) -> np.ndarray:
-    return planes.astype(object)
+def _check_int64(bound: int) -> None:
+    """Reject an operation whose coefficients could reach _INT64_SAFE."""
+    if bound >= _INT64_SAFE:
+        raise ValueError("exact matrix coefficients would overflow int64")
 
 
 class DenseMatrix:
     __slots__ = ("dim", "k", "planes", "_maxabs", "_key")
 
     def __init__(self, planes: np.ndarray, k: int, _normalized: bool = False):
-        planes = np.asarray(planes)
+        planes = np.asarray(planes, dtype=np.int64)
         if planes.ndim != 3 or planes.shape[0] != 4 or planes.shape[1] != planes.shape[2]:
             raise ValueError("planes must have shape (4, dim, dim)")
         if not _normalized:
@@ -33,13 +36,7 @@ class DenseMatrix:
                 k -= 1
             if not planes.any():
                 k = 0
-        if planes.dtype == object:
-            m = int(max((abs(int(x)) for x in planes.flat), default=0))
-            if m < _INT64_SAFE:
-                planes = planes.astype(np.int64)
-        else:
-            planes = planes.astype(np.int64, copy=False)
-            m = int(np.abs(planes).max(initial=0))
+        m = int(np.abs(planes).max(initial=0))
         planes.flags.writeable = False
         object.__setattr__(self, "dim", planes.shape[1])
         object.__setattr__(self, "k", k)
@@ -61,15 +58,11 @@ class DenseMatrix:
         if any(len(row) != d for row in scalars):
             raise ValueError("matrix must be square")
         k = max((s.k for row in scalars for s in row), default=0)
-        planes = np.zeros((4, d, d), dtype=object)
-        for i, row in enumerate(scalars):
-            for j, s in enumerate(row):
-                sh = k - s.k
-                planes[0, i, j] = s.c0 << sh
-                planes[1, i, j] = s.c1 << sh
-                planes[2, i, j] = s.c2 << sh
-                planes[3, i, j] = s.c3 << sh
-        return cls(planes, k)
+        _check_int64(max((max(map(abs, s.coeffs)) << (k - s.k)
+                          for row in scalars for s in row), default=0))
+        planes = [[[s.coeffs[p] << (k - s.k) for s in row] for row in scalars]
+                  for p in range(4)]
+        return cls(np.array(planes, dtype=np.int64).reshape(4, d, d), k)
 
     @classmethod
     def identity(cls, dim: int) -> DenseMatrix:
@@ -88,15 +81,12 @@ class DenseMatrix:
         return CycScalar(int(p[0, i, j]), int(p[1, i, j]),
                          int(p[2, i, j]), int(p[3, i, j]), self.k)
 
-    def key(self) -> bytes | tuple:
+    def key(self) -> bytes:
         """Canonical hashable form; equal matrices have equal keys."""
         k = self._key
         if k is None:
-            if self.planes.dtype == object:
-                k = (self.dim, self.k, tuple(int(x) for x in self.planes.flat))
-            else:
-                k = self.dim.to_bytes(4, "little") + self.k.to_bytes(4, "little") \
-                    + self.planes.tobytes()
+            k = self.dim.to_bytes(4, "little") + self.k.to_bytes(4, "little") \
+                + self.planes.tobytes()
             object.__setattr__(self, "_key", k)
         return k
 
@@ -105,9 +95,7 @@ class DenseMatrix:
             return NotImplemented
         if self.dim != other.dim or self.k != other.k:
             return False
-        if self.planes.dtype == other.planes.dtype:
-            return bool((self.planes == other.planes).all())
-        return self.key() == other.key()
+        return bool((self.planes == other.planes).all())
 
     def __hash__(self):
         return hash(self.key())
@@ -120,29 +108,15 @@ class DenseMatrix:
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        a, b = self.planes, other.planes
-        if a.dtype != object and b.dtype != object:
-            if 4 * self.dim * self._maxabs * other._maxabs >= _INT64_SAFE:
-                a, b = _as_object(a), _as_object(b)
-        elif a.dtype != b.dtype:
-            a, b = _as_object(a), _as_object(b)
-        t = np.tensordot(a, b, axes=([2], [1]))  # (p, i, q, j)
-        planes = np.stack([
-            t[0, :, 0] - t[1, :, 3] - t[2, :, 2] - t[3, :, 1],
-            t[0, :, 1] + t[1, :, 0] - t[2, :, 3] - t[3, :, 2],
-            t[0, :, 2] + t[1, :, 1] + t[2, :, 0] - t[3, :, 3],
-            t[0, :, 3] + t[1, :, 2] + t[2, :, 1] + t[3, :, 0],
-        ])
-        return DenseMatrix(planes, self.k + other.k)
+        _check_int64(4 * self.dim * self._maxabs * other._maxabs)
+        t = np.tensordot(self.planes, other.planes, axes=([2], [1]))  # (p, i, q, j)
+        return DenseMatrix(np.stack(zfold(t.transpose(0, 2, 1, 3))), self.k + other.k)
 
     def _aligned(self, other: DenseMatrix):
         k = max(self.k, other.k)
         a, b = self.planes, other.planes
         sa, sb = k - self.k, k - other.k
-        if a.dtype != object and (self._maxabs << sa) + (other._maxabs << sb) >= _INT64_SAFE:
-            a, b = _as_object(a), _as_object(b)
-        elif a.dtype != b.dtype:
-            a, b = _as_object(a), _as_object(b)
+        _check_int64((self._maxabs << sa) + (other._maxabs << sb))
         return (a << sa) if sa else a, (b << sb) if sb else b, k
 
     def __add__(self, other: DenseMatrix) -> DenseMatrix:
@@ -163,17 +137,9 @@ class DenseMatrix:
     def scale(self, s: CycScalar | int) -> DenseMatrix:
         if isinstance(s, int):
             s = CycScalar(s)
-        a0, a1, a2, a3 = s.coeffs
-        p = self.planes
-        if p.dtype != object and 4 * max(abs(a0), abs(a1), abs(a2), abs(a3)) * self._maxabs >= _INT64_SAFE:
-            p = _as_object(p)
-        planes = np.stack([
-            a0 * p[0] - a1 * p[3] - a2 * p[2] - a3 * p[1],
-            a0 * p[1] + a1 * p[0] - a2 * p[3] - a3 * p[2],
-            a0 * p[2] + a1 * p[1] + a2 * p[0] - a3 * p[3],
-            a0 * p[3] + a1 * p[2] + a2 * p[1] + a3 * p[0],
-        ])
-        return DenseMatrix(planes, self.k + s.k)
+        _check_int64(4 * max(map(abs, s.coeffs)) * self._maxabs)
+        t = np.multiply.outer(s.coeffs, self.planes)  # (p, q, i, j)
+        return DenseMatrix(np.stack(zfold(t)), self.k + s.k)
 
     def mul_zeta(self, e: int) -> DenseMatrix:
         """Multiply every entry by z^e (a signed plane rotation)."""
@@ -192,23 +158,10 @@ class DenseMatrix:
         return DenseMatrix(planes, self.k, _normalized=True)
 
     def kron(self, other: DenseMatrix) -> DenseMatrix:
-        a, b = self.planes, other.planes
-        if a.dtype != object and self._maxabs * other._maxabs * 4 >= _INT64_SAFE:
-            a, b = _as_object(a), _as_object(b)
-        elif a.dtype != b.dtype:
-            a, b = _as_object(a), _as_object(b)
+        _check_int64(4 * self._maxabs * other._maxabs)
         d = self.dim * other.dim
-        t = np.zeros((4, 4, d, d), dtype=a.dtype)
-        for p in range(4):
-            for q in range(4):
-                t[p, q] = np.kron(a[p], b[q])
-        planes = np.stack([
-            t[0, 0] - t[1, 3] - t[2, 2] - t[3, 1],
-            t[0, 1] + t[1, 0] - t[2, 3] - t[3, 2],
-            t[0, 2] + t[1, 1] + t[2, 0] - t[3, 3],
-            t[0, 3] + t[1, 2] + t[2, 1] + t[3, 0],
-        ])
-        return DenseMatrix(planes, self.k + other.k)
+        t = np.einsum("pij,qkl->pqikjl", self.planes, other.planes).reshape(4, 4, d, d)
+        return DenseMatrix(np.stack(zfold(t)), self.k + other.k)
 
     def trace(self) -> CycScalar:
         c = [int(self.planes[p].trace()) for p in range(4)]
@@ -227,33 +180,6 @@ class DenseMatrix:
 
     def is_zero(self) -> bool:
         return not self.planes.any()
-
-    def det(self) -> CycScalar:
-        """Exact determinant (fraction-free Bareiss over Z[z])."""
-        d = self.dim
-        p = self.planes
-        # work on the integer numerators; det scales by 2^(k*d)
-        m = [[CycScalar(int(p[0, i, j]), int(p[1, i, j]),
-                        int(p[2, i, j]), int(p[3, i, j]))
-              for j in range(d)] for i in range(d)]
-        sign = 1
-        prev = CycScalar(1)
-        for p in range(d - 1):
-            if m[p][p].is_zero():
-                for r in range(p + 1, d):
-                    if not m[r][p].is_zero():
-                        m[p], m[r] = m[r], m[p]
-                        sign = -sign
-                        break
-                else:
-                    return CycScalar(0)
-            for i in range(p + 1, d):
-                for j in range(p + 1, d):
-                    m[i][j] = _exact_div(m[i][j] * m[p][p] - m[i][p] * m[p][j], prev)
-                m[i][p] = CycScalar(0)
-            prev = m[p][p]
-        det = m[d - 1][d - 1] * sign
-        return CycScalar(det.c0, det.c1, det.c2, det.c3, self.k * d)
 
     # -- projective canonical form ------------------------------------
 
@@ -281,47 +207,22 @@ class DenseMatrix:
 
     @classmethod
     def from_json_dict(cls, data) -> DenseMatrix:
-        rows = [[CycScalar.from_list(e) for e in row] for row in data["entries"]]
-        m = cls.from_entries(rows)
-        if m.dim != data["dim"]:
+        """Inverse of to_json_dict; malformed data raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+            raise ValueError("matrix JSON must be an object with an 'entries' list")
+        rows = data["entries"]
+        for row in rows:
+            if not isinstance(row, list) or len(row) != len(rows):
+                raise ValueError("matrix entries must be a square list of rows")
+            for e in row:
+                if not (isinstance(e, list) and len(e) == 5
+                        and all(type(x) is int for x in e)):
+                    raise ValueError("each matrix entry must be 5 integers [c0, c1, c2, c3, k]")
+        m = cls.from_entries([[CycScalar.from_list(e) for e in row] for row in rows])
+        if m.dim != data.get("dim"):
             raise ValueError("dim field does not match entries")
         return m
 
     def to_complex(self) -> np.ndarray:
         return np.array([[self.entry(i, j).to_complex() for j in range(self.dim)]
                          for i in range(self.dim)])
-
-
-def _galois(s: CycScalar, e: int) -> CycScalar:
-    """Galois conjugate z -> z^e for odd e in {1,3,5,7}."""
-    c = (s.c0, s.c1, s.c2, s.c3)
-    if e == 1:
-        return s
-    if e == 3:
-        return CycScalar(c[0], c[3], -c[2], c[1], s.k)
-    if e == 5:
-        return CycScalar(c[0], -c[1], c[2], -c[3], s.k)
-    if e == 7:
-        return CycScalar(c[0], -c[3], -c[2], -c[1], s.k)
-    raise ValueError(e)
-
-
-def _exact_div(a: CycScalar, b: CycScalar) -> CycScalar:
-    """a / b when the quotient lies in Z[z] (as in Bareiss pivots)."""
-    if b == CycScalar(1):
-        return a
-    if b == CycScalar(-1):
-        return -a
-    cof = _galois(b, 3) * _galois(b, 5) * _galois(b, 7)
-    norm = b * cof
-    assert norm.c1 == 0 and norm.c2 == 0 and norm.c3 == 0 and norm.k == 0
-    n = norm.c0
-    num = a * cof
-    assert num.k == 0
-    q, rems = [], 0
-    for c in num.coeffs:
-        qq, rr = divmod(c, n)
-        q.append(qq)
-        rems |= rr
-    assert rems == 0, "inexact division in Bareiss elimination"
-    return CycScalar(q[0], q[1], q[2], q[3])

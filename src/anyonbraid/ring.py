@@ -33,6 +33,19 @@ def _sign_a_sqrt2_plus_b(a: int, b: int) -> int:
     return _sign(a) if d > 0 else _sign(b)
 
 
+def zfold(t):
+    """Coefficients of (sum a_p z^p)(sum b_q z^q) from the 16 partial
+    products t[p][q] = a_p * b_q, folding z^4 = -1.
+
+    t may hold ints or numpy arrays (one plane per pair p, q); every exact
+    product in the package goes through this one sign table.
+    """
+    return (t[0][0] - t[1][3] - t[2][2] - t[3][1],
+            t[0][1] + t[1][0] - t[2][3] - t[3][2],
+            t[0][2] + t[1][1] + t[2][0] - t[3][3],
+            t[0][3] + t[1][2] + t[2][1] + t[3][0])
+
+
 class CycScalar:
     """(c0 + c1*z + c2*z^2 + c3*z^3) / 2^k with z = exp(i*pi/4), z^4 = -1.
 
@@ -118,15 +131,8 @@ class CycScalar:
                              self.c2 * other, self.c3 * other, self.k)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        a0, a1, a2, a3 = self.coeffs
-        b0, b1, b2, b3 = other.coeffs
-        return CycScalar(
-            a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-            self.k + other.k,
-        )
+        t = [[a * b for b in other.coeffs] for a in self.coeffs]
+        return CycScalar(*zfold(t), self.k + other.k)
 
     __rmul__ = __mul__
 

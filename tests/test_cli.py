@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,69 +165,47 @@ def test_fusion(capsys):
     assert payload["labels"][3]["index"] == 3
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(capsys, "synth", "--n", "2", "--target", "warp:1")[0] == 2
     assert run_cli(capsys, "eval-word", "--n", "1", "--word", "7")[0] == 2
+    too_big = [1 << 62, 0, 0, 0, 0]
+    zero = [0, 0, 0, 0, 0]
+    for bad in ({"dim": 2, "entries": [1, 2]},
+                {"dim": 2, "entries": [[too_big, zero], [zero, zero]]}):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(bad), encoding="utf-8")
+        code, out, err = run_cli(capsys, "clifford-check", "--n", "1", "--target", f"file:{f}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
 
 
-GOLDEN_ORDERS_N3 = """{
-  "braid_image": 10321920,
-  "braid_image_mod_center": 2580480,
-  "coverage_ratio": "36",
-  "pauli": 256,
-  "projective_clifford": 92897280,
-  "projective_pauli": 64,
-  "sp_2n_2": 1451520
-}
-"""
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
-GOLDEN_SYMPLECTIC_N1 = """{
-  "basis_change": [
-    "10",
-    "01"
-  ],
-  "generators": {
-    "1": [
-      "01",
-      "10"
-    ],
-    "2": [
-      "11",
-      "01"
-    ],
-    "3": [
-      "01",
-      "10"
-    ]
-  },
-  "tilde": {
-    "1": [
-      "01",
-      "10"
-    ],
-    "2": [
-      "11",
-      "01"
-    ],
-    "3": [
-      "01",
-      "10"
-    ]
-  }
-}
-"""
+# (argv, exit code, golden stdout file), captured before the int64 kernel rewrite
+GOLDEN_RUNS = (
+    (["orders", "--n", "3"], 0, "orders_n3.json"),
+    (["symplectic", "--n", "1"], 0, "symplectic_n1.json"),
+    (["eval-word", "--n", "2", "--parity", "+", "--word", "1 3 -5", "--pretty"], 0,
+     "eval_word_n2_cz_pretty.json"),
+    (["clifford-check", "--n", "1", "--word", "2"], 0, "clifford_check_n1_word2.json"),
+    (["monodromy-check", "--n", "2"], 0, "monodromy_check_n2.json"),
+    (["enumerate", "--n", "1"], 0, "enumerate_n1.json"),
+    (["reach", "--n", "3", "--target", "swap:1,2"], 1, "reach_n3_swap12.json"),
+    (["synth", "--n", "2", "--target", "cz:1,2"], 0, "synth_n2_cz12.json"),
+    (["missing-gates", "--n", "3"], 0, "missing_gates_n3.json"),
+)
 
 
 def test_golden_outputs_byte_identical(capsys):
-    for argv, golden in ((["orders", "--n", "3"], GOLDEN_ORDERS_N3),
-                         (["symplectic", "--n", "1"], GOLDEN_SYMPLECTIC_N1)):
+    for argv, expected_code, name in GOLDEN_RUNS:
+        golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         for _ in range(2):
             code, out, _ = run_cli(capsys, *argv)
-            assert code == 0
-            assert out == golden
+            assert code == expected_code, argv
+            assert out == golden, argv
 
 
 def test_deterministic_output(capsys):

@@ -4,11 +4,48 @@ import pytest
 
 from anyonbraid.braid import RepContext, braid_generator, eval_word, phase_word
 from anyonbraid.gates import swap_gate
-from anyonbraid.groups import (EnumerationCapExceeded, bfs_closure, braid_image,
-                               dimino, enumerate_group, monodromy_equals_pauli,
+from anyonbraid.groups import (EnumerationCapExceeded, braid_image, dimino,
+                               enumerate_group, monodromy_equals_pauli,
                                monodromy_image, pauli_group_matrices)
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.ring import I_UNIT
+
+
+def strict_mul(a, b):
+    return a @ b
+
+
+def projective_mul(a, b):
+    return (a @ b).projective_canonical()[1]
+
+
+def bfs_closure(generators, identity, mul=strict_mul, cap=10 ** 8) -> list:
+    """Plain breadth-first closure; the oracle that dimino is checked against."""
+    elements = {identity: None}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = mul(x, g)
+                if y not in elements:
+                    if len(elements) >= cap:
+                        raise EnumerationCapExceeded(cap)
+                    elements[y] = None
+                    new.append(y)
+        frontier = new
+    return list(elements)
+
+
+def bfs_keys(generators, mode="strict", cap=10 ** 8) -> frozenset:
+    """Keys of the oracle closure, canonicalised as enumerate_group does."""
+    identity = DenseMatrix.identity(generators[0].dim)
+    mul = strict_mul
+    if mode == "projective":
+        generators = [g.projective_canonical()[1] for g in generators]
+        identity = identity.projective_canonical()[1]
+        mul = projective_mul
+    return frozenset(e.key() for e in bfs_closure(generators, identity, mul, cap))
 
 
 def b4_generators():
@@ -36,14 +73,14 @@ def test_dimino_independent_of_generator_order():
 
 def test_dimino_agrees_with_bfs_closure():
     gens = b4_generators()
-    a = enumerate_group(gens, mode="strict", algorithm="dimino")
-    b = enumerate_group(gens, mode="strict", algorithm="bfs")
-    assert a.order == b.order == 96
-    assert a.keys == b.keys
-    ap = enumerate_group(gens, mode="projective", algorithm="dimino")
-    bp = enumerate_group(gens, mode="projective", algorithm="bfs")
-    assert ap.order == bp.order == 24
-    assert ap.keys == bp.keys
+    a = enumerate_group(gens, mode="strict")
+    b = bfs_keys(gens, "strict")
+    assert a.order == len(b) == 96
+    assert a.keys == b
+    ap = enumerate_group(gens, mode="projective")
+    bp = bfs_keys(gens, "projective")
+    assert ap.order == len(bp) == 24
+    assert ap.keys == bp
 
 
 def test_pauli_group_from_squares_and_phase_element():
@@ -61,7 +98,7 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_group(gens, mode="strict", cap=50)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_group(gens, mode="strict", cap=50, algorithm="bfs")
+        bfs_keys(gens, "strict", cap=50)
 
 
 def test_non_invertible_generator_rejected():
@@ -146,8 +183,7 @@ def test_b6_strict_order_and_center():
 def test_b6_dimino_agrees_with_bfs():
     ctx = RepContext(2)
     gens = [braid_generator(ctx, j) for j in range(1, 6)]
-    bfs = enumerate_group(gens, mode="strict", algorithm="bfs")
-    assert bfs.keys == braid_image(2, 1, "strict").keys
+    assert bfs_keys(gens, "strict") == braid_image(2, 1, "strict").keys
 
 
 def test_strict_over_projective_is_center_size():
