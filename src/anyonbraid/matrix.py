@@ -214,10 +214,6 @@ class DenseMatrix:
         for row in rows:
             if not isinstance(row, list) or len(row) != len(rows):
                 raise ValueError("matrix entries must be a square list of rows")
-            for e in row:
-                if not (isinstance(e, list) and len(e) == 5
-                        and all(type(x) is int for x in e)):
-                    raise ValueError("each matrix entry must be 5 integers [c0, c1, c2, c3, k]")
         m = cls.from_entries([[CycScalar.from_list(e) for e in row] for row in rows])
         if m.dim != data.get("dim"):
             raise ValueError("dim field does not match entries")

@@ -139,10 +139,71 @@ def pauli_vector_matrix(v) -> DenseMatrix:
     return _pauli_matrix_cached(tuple(v))
 
 
+def _times_ipow(planes: np.ndarray, e) -> np.ndarray:
+    """planes times i^e, e broadcast against the entries (i = z^2)."""
+    e = np.asarray(e) % 4
+    out = np.where(e % 2, np.stack([-planes[2], -planes[3], planes[0], planes[1]]), planes)
+    return np.where(e >= 2, -out, out)
+
+
+def times_pauli(mat: DenseMatrix, v) -> DenseMatrix:
+    """mat @ sigma_v without a product: column r of mat times i^ipow[r]
+    becomes column perm[r]."""
+    perm, ipow = pauli_sparse(v)
+    planes = np.empty_like(mat.planes)
+    planes[:, :, perm] = _times_ipow(mat.planes, ipow)
+    return DenseMatrix(planes, mat.k, _normalized=True)
+
+
+def pauli_term(mat: DenseMatrix) -> tuple[tuple[int, ...], CycScalar] | None:
+    """(v, c) when mat == c * sigma_v exactly, otherwise None.
+
+    Row 0 must hold a single nonzero entry; its column x gives the X part
+    of every qubit.  The entry of the row that sets only qubit q's bit,
+    in column that row xor x, is +-mat[0, x]; the sign gives qubit q's
+    Z part.  The candidate is then confirmed against every entry of the
+    sparse (perm, ipow) form of sigma_v.
+    """
+    d = mat.dim
+    n = d.bit_length() - 1
+    if 2 ** n != d:
+        raise ValueError("dimension must be a power of two")
+    planes = mat.planes
+    row0 = np.flatnonzero(planes[:, 0, :].any(axis=0))
+    if len(row0) != 1:
+        return None
+    x = int(row0[0])
+    head = planes[:, 0, x]
+    v = []
+    for q in range(n):
+        b = 1 << (n - 1 - q)
+        flip = (x >> (n - 1 - q)) & 1
+        other = planes[:, b, b ^ x]
+        if (other == head).all():
+            neg = 0
+        elif (other == -head).all():
+            neg = 1
+        else:
+            return None
+        v += [flip ^ neg, neg]
+    v = tuple(v)
+    perm, ipow = _pauli_sparse_cached(v)
+    c = _times_ipow(head, -ipow[0])
+    # every mat[r, perm[r]] equals c * i^ipow[r], which is nonzero, and
+    # no other entry is nonzero
+    if (not np.array_equal(planes[:, np.arange(d), perm], _times_ipow(c[:, None], ipow))
+            or np.count_nonzero(planes.any(axis=0)) != d):
+        return None
+    return v, CycScalar(int(c[0]), int(c[1]), int(c[2]), int(c[3]), mat.k)
+
+
 def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[tuple[int, ...], CycScalar]]:
     """Exact expansion of mat in the sigma_v basis via trace inner products.
 
     Returns the nonzero coefficients [(v, c)] with mat = sum c * sigma_v.
+    It costs 4^n gathers; a matrix that is one Pauli term is read faster
+    by pauli_term, so the library expands only to report a non-Clifford
+    witness.
     """
     d = mat.dim
     n = d.bit_length() - 1
@@ -153,20 +214,8 @@ def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[tuple[int, ...], CycSc
         v = tuple((idx >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
         perm, ipow = _pauli_sparse_cached(v)
         # tr(sigma_v^dagger mat) = sum_r i^(-ipow[r]) mat[r, perm[r]]
-        gathered = mat.planes[:, np.arange(d), perm]  # (4, d)
-        coeffs = [0, 0, 0, 0]
-        for e in range(4):
-            cols = gathered[:, ipow == e]
-            if cols.size == 0:
-                continue
-            s = cols.sum(axis=1)
-            c = [int(s[0]), int(s[1]), int(s[2]), int(s[3])]
-            if e:  # multiply column sum by i^-e = z^(-2e)
-                for _ in range(e):
-                    c = [c[2], c[3], -c[0], -c[1]]
-            for t in range(4):
-                coeffs[t] += c[t]
-        c = CycScalar(coeffs[0], coeffs[1], coeffs[2], coeffs[3], mat.k + n)
+        s = _times_ipow(mat.planes[:, np.arange(d), perm], -ipow).sum(axis=1)
+        c = CycScalar(int(s[0]), int(s[1]), int(s[2]), int(s[3]), mat.k + n)
         if not c.is_zero():
             out.append((v, c))
     return out

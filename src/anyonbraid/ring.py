@@ -197,8 +197,11 @@ class CycScalar:
 
     @classmethod
     def from_list(cls, data) -> CycScalar:
-        c0, c1, c2, c3, k = (int(x) for x in data)
-        return cls(c0, c1, c2, c3, k)
+        """Inverse of to_list; anything but five ints raises ValueError."""
+        if not (isinstance(data, (list, tuple)) and len(data) == 5
+                and all(type(x) is int for x in data)):
+            raise ValueError("a scalar must be 5 integers [c0, c1, c2, c3, k]")
+        return cls(*data)
 
     @classmethod
     def zeta_power(cls, t: int) -> CycScalar:

@@ -16,7 +16,7 @@ from math import factorial
 from .braid import RepContext, braid_generator
 from .gf2 import BitMatrix, is_symplectic, omega_matrix
 from .matrix import DenseMatrix
-from .pauli import pauli_basis_decompose, pauli_vector_matrix
+from .pauli import pauli_basis_decompose, pauli_term, times_pauli
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,12 @@ class NonClifford:
 def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     """Decide Clifford membership by conjugating the 2n generator Paulis.
 
-    Every U sigma U^dagger is decomposed exactly in the Pauli basis; the
-    verdict is CliffordAction(s, f) when each image is a single Pauli with
-    an i-power phase (s is then asserted symplectic), otherwise the first
-    offending generator and its multi-term expansion.
+    Each W = (U sigma_g) U^dagger costs one dense product (U sigma_g is a
+    signed column permutation of U), and pauli_term reads W as a single
+    Pauli term and confirms it exactly.  The verdict is CliffordAction(s, f)
+    when each image is a single Pauli with an i-power phase (s is then
+    checked symplectic), otherwise the first offending generator and its
+    exact Pauli-basis expansion.
     """
     if not u.is_unitary():
         raise ValueError("input is not unitary")
@@ -63,11 +65,12 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     phases = []
     for g in range(2 * n):
         v = tuple(1 if b == g else 0 for b in range(2 * n))
-        w = u @ pauli_vector_matrix(v) @ udag
-        terms = pauli_basis_decompose(w)
-        if len(terms) != 1:
+        w = times_pauli(u, v) @ udag
+        term = pauli_term(w)
+        if term is None:
+            terms = pauli_basis_decompose(w)
             return NonClifford(v, tuple((tv, c.to_list()) for tv, c in terms))
-        tv, c = terms[0]
+        tv, c = term
         m = c.ipower()
         if m is None:
             return NonClifford(v, ((tv, c.to_list()),))
@@ -76,7 +79,8 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     s = BitMatrix(2 * n, tuple(
         sum(cols[g][i] << g for g in range(2 * n)) for i in range(2 * n)
     ))
-    assert is_symplectic(s), "Clifford image failed the symplectic relation"
+    if not is_symplectic(s):
+        raise RuntimeError("Clifford image failed the symplectic relation")
     return CliffordAction(s, tuple(phases))
 
 
@@ -176,7 +180,8 @@ def braid_symplectic(n: int, j: int) -> BitMatrix:
             for c in range(4):
                 rows[off + r][off + c] = block[r][c]
     s = BitMatrix.from_rows(rows)
-    assert is_symplectic(s), f"printed S_{j} is not symplectic"
+    if not is_symplectic(s):
+        raise RuntimeError(f"printed S_{j} is not symplectic")
     return s
 
 
@@ -195,9 +200,10 @@ def basis_change_t(n: int) -> BitMatrix:
 
 
 def tilde_basis(n: int) -> tuple[BitMatrix, list[BitMatrix]]:
-    """(T, [T S_j T for j = 1..2n+1]); T is asserted self-inverse."""
+    """(T, [T S_j T for j = 1..2n+1]); T is checked self-inverse."""
     t = basis_change_t(n)
-    assert t @ t == BitMatrix.identity(2 * n), "T is not self-inverse"
+    if t @ t != BitMatrix.identity(2 * n):
+        raise RuntimeError("T is not self-inverse")
     return t, [t @ braid_symplectic(n, j) @ t for j in range(1, 2 * n + 2)]
 
 
@@ -269,5 +275,6 @@ def faithfulness_check(n: int) -> FaithfulnessVerdict:
 
 def braid_generator_action(ctx: RepContext, j: int) -> CliffordAction:
     act = clifford_check(braid_generator(ctx, j))
-    assert isinstance(act, CliffordAction)
+    if not isinstance(act, CliffordAction):
+        raise RuntimeError(f"braid generator {j} is not Clifford")
     return act

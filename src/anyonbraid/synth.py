@@ -22,7 +22,7 @@ from .gates import swap_gate
 from .gf2 import BitMatrix
 from .groups import EnumerationCapExceeded
 from .matrix import DenseMatrix
-from .pauli import pauli_basis_decompose
+from .pauli import pauli_term
 from .symplectic import (CliffordAction, NonClifford, braid_symplectic,
                          clifford_check, group_orders, sp_order, symplectic_subgroup)
 
@@ -86,6 +86,8 @@ def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
     """Certificate-level reachability: a Clifford target is braid-reachable
     iff its symplectic image lies in <S_1..S_2n+1>, because the kernel of
     the symplectic map (Pauli gates and i-powers) is entirely reachable."""
+    if target.dim != ctx.dim:
+        raise ValueError("target dimension does not match the context")
     act = clifford_check(target)
     if isinstance(act, NonClifford):
         return ReachResult("not_clifford", None, None, act.to_json_dict())
@@ -124,9 +126,11 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
         word = _letters_to_word(letters)
         ev = eval_word(ctx, word)
         t_ev, ev_canon = ev.projective_canonical()
-        assert ev_canon == target_canon
+        if ev_canon != target_canon:
+            raise RuntimeError("synthesized word failed projective re-verification")
         p = (t_ev - t_target) % 8
-        assert ev == target.mul_zeta(p), "synthesized word failed re-verification"
+        if ev != target.mul_zeta(p):
+            raise RuntimeError("synthesized word failed re-verification")
         return SynthResult("realizable", word, p, len(parents), len(letters))
 
     if start_canon == target_canon:
@@ -232,16 +236,19 @@ def clifford_word_via_quotient(ctx: RepContext, target: DenseMatrix) -> tuple[Br
     w1 = _letters_to_word(letters)
     v_mat = eval_word(ctx, w1)
     d = v_mat.dagger() @ target
-    terms = pauli_basis_decompose(d)
-    assert len(terms) == 1, "quotient remainder is not a single Pauli"
-    v, _c = terms[0]
+    term = pauli_term(d)
+    if term is None:
+        raise RuntimeError("quotient remainder is not a single Pauli")
+    v, _c = term
     word = w1 + _pauli_fixup_word(n, v)
     ev = eval_word(ctx, word)
     t_ev, ev_canon = ev.projective_canonical()
     t_target, target_canon = target.projective_canonical()
-    assert ev_canon == target_canon, "quotient synthesis failed projectively"
+    if ev_canon != target_canon:
+        raise RuntimeError("quotient synthesis failed projectively")
     p = (t_ev - t_target) % 8
-    assert ev == target.mul_zeta(p)
+    if ev != target.mul_zeta(p):
+        raise RuntimeError("quotient synthesis failed re-verification")
     return word, p
 
 
@@ -260,7 +267,8 @@ def exact_clifford_word(ctx: RepContext, target: DenseMatrix) -> BraidWord:
     for _ in range(m):
         word = word + phase_word(ctx)
     ev = eval_word(ctx, word)
-    assert ev == target, "phase correction failed"
+    if ev != target:
+        raise RuntimeError("phase correction failed")
     return word
 
 
@@ -302,7 +310,8 @@ def missing_gate_report(n: int, check_generation: bool = False) -> MissingGateRe
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             act = clifford_check(swap_gate(n, a, b))
-            assert isinstance(act, CliffordAction)
+            if not isinstance(act, CliffordAction):
+                raise RuntimeError(f"SWAP({a},{b}) is not Clifford")
             (reachable if act.s in sub else obstructed).append((a, b))
     generates = None
     if check_generation and obstructed:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from anyonbraid.cli import main
+from anyonbraid.matrix import DenseMatrix
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +178,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, "clifford-check", "--n", "1", "--target", f"file:{f}")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+    f = tmp_path / "identity2.json"
+    f.write_text(json.dumps(DenseMatrix.identity(2).to_json_dict()), encoding="utf-8")
+    code, out, err = run_cli(capsys, "reach", "--n", "2", "--target", f"file:{f}")
+    assert (code, out) == (2, "")
+    assert err == "error: target dimension does not match the context\n"
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
@@ -196,6 +202,12 @@ GOLDEN_RUNS = (
     (["reach", "--n", "3", "--target", "swap:1,2"], 1, "reach_n3_swap12.json"),
     (["synth", "--n", "2", "--target", "cz:1,2"], 0, "synth_n2_cz12.json"),
     (["missing-gates", "--n", "3"], 0, "missing_gates_n3.json"),
+    # captured before clifford_check stopped expanding in the Pauli basis
+    (["clifford-check", "--n", "3", "--word", "1 2 -4 7 5"], 0,
+     "clifford_check_n3_word.json"),
+    (["reach", "--n", "3", "--target", "swap:1,3"], 0, "reach_n3_swap13.json"),
+    (["clifford-check", "--n", "2", "--target", f"file:{GOLDEN_DIR / 't_gate_n2.json'}"], 1,
+     "clifford_check_n2_t_gate.json"),
 )
 
 
@@ -225,3 +237,21 @@ def test_console_entrypoint_subprocess():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["braid_image"] == 96
+
+
+def test_certificates_survive_optimize_flag():
+    """The library holds no assert statement, which python -O would strip;
+    its re-verifications raise instead, and -O output equals the golden."""
+    import ast
+
+    import anyonbraid
+    for path in Path(anyonbraid.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+    golden = (GOLDEN_DIR / "clifford_check_n3_word.json").read_text(encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "anyonbraid.cli", "clifford-check", "--n", "3",
+         "--word", "1 2 -4 7 5"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == golden

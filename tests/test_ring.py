@@ -140,6 +140,14 @@ def test_json_roundtrip_bit_exact():
     assert BRAID_PHASE.to_list() == [1, 0, 1, 0, 1]
 
 
+def test_from_list_rejects_non_integers():
+    for bad in ([1.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], ["1", 0, 0, 0, 0],
+                [True, 0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0, 0, 0], 7):
+        with pytest.raises(ValueError):
+            CycScalar.from_list(bad)
+    assert CycScalar.from_list((2, 0, 0, 0, 1)) == ONE
+
+
 def test_ipower():
     assert ONE.ipower() == 0
     assert I_UNIT.ipower() == 1
