@@ -7,15 +7,23 @@ phase-stripped canonical forms produced by projective_canonical (multiply
 by the z-power that moves the first nonzero entry into the scalar
 fundamental domain), so two matrices collide iff they differ by a global
 z-power.
+
+For DenseMatrix groups each Dimino coset H*t is one stacked product per
+block of matrix.BLOCK_ROWS elements of H, and center() tests a block of
+elements against each generator at once, keeping only the survivors for
+the next generator.  Other element types (BitMatrix) take one product per
+element through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .braid import RepContext, braid_generator, eval_word, monodromy_word
-from .matrix import DenseMatrix
+from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
 from .pauli import PauliElement
 
 DEFAULT_CAP = 10 ** 8
@@ -35,12 +43,29 @@ def _projective_mul(a, b):
     return (a @ b).projective_canonical()[1]
 
 
-def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP) -> list:
+def _stacked_coset(prev, projective: bool):
+    """t -> the products e*t for e in prev, in order: one stacked product
+    per block of prev, with the elements built on their key bytes."""
+    blocks = [MatrixStack.of(prev[s:s + BLOCK_ROWS]) for s in range(0, len(prev), BLOCK_ROWS)]
+
+    def coset(t):
+        for block in blocks:
+            x = block @ t
+            if projective:
+                x = x.projective_canonical()[1]
+            yield from x.matrices()
+    return coset
+
+
+def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
+           cosets=None) -> list:
     """All elements of the group generated by `generators`.
 
     Inductive closure over an increasing chain of subgroups: close the
     first generator into a cyclic group, then extend by whole cosets for
     each later generator.  Elements must be hashable with exact equality.
+    `cosets(prev)`, if given, returns a function mapping t to the products
+    e*t for e in prev, in order; by default each is one `mul`.
     """
     gens = [g for g in generators if g != identity]
     elements = {identity: None}
@@ -52,8 +77,6 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP) -> lis
                 raise EnumerationCapExceeded(cap)
             elements[x] = None
             order.append(x)
-            return True
-        return False
 
     if not gens:
         return order
@@ -67,11 +90,13 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP) -> lis
     for i in range(1, len(gens)):
         if gens[i] in elements:
             continue
-        prev = list(order)
+        # order[0] is the identity, whose product with t is t itself
+        prev = order[1:]
+        coset = cosets(prev) if cosets else (lambda t: (mul(e, t) for e in prev))
         rep_queue = [gens[i]]
         push(gens[i])
-        for e in prev:
-            push(mul(e, gens[i]))
+        for x in coset(gens[i]):
+            push(x)
         qi = 0
         while qi < len(rep_queue):
             rep = rep_queue[qi]
@@ -81,10 +106,9 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP) -> lis
                 if t not in elements:
                     rep_queue.append(t)
                     push(t)
-                    for e in prev:
-                        if e is not identity:
-                            push(mul(e, t))
-        del prev
+                    for x in coset(t):
+                        push(x)
+        del prev, coset
     return order
 
 
@@ -109,12 +133,23 @@ class GroupEnumeration:
         return (x.key() if isinstance(x, DenseMatrix) else x) in self.keys
 
     def center(self) -> list:
-        """Elements commuting with every generator."""
+        """Elements commuting with every generator (up to a global phase in
+        projective mode).  Each block of elements is tested against one
+        generator at a time, and only its survivors meet the next one."""
         gens = [self.canonical(g) for g in self.generators]
         out = []
-        for x in self.elements:
-            if all(_commutes(x, g, self.mode) for g in gens):
-                out.append(x)
+        for start in range(0, len(self.elements), BLOCK_ROWS):
+            block = self.elements[start:start + BLOCK_ROWS]
+            x, keep = MatrixStack.of(block), np.arange(len(block))
+            for g in gens:
+                a, b = x @ g, x.premul(g)
+                if self.mode == "projective":
+                    a, b = a.projective_canonical()[1], b.projective_canonical()[1]
+                same = a.rows_equal(b)
+                x, keep = x[same], keep[same]
+                if not len(keep):
+                    break
+            out.extend(block[i] for i in keep.tolist())
         return out
 
     def summary(self) -> dict:
@@ -124,14 +159,6 @@ class GroupEnumeration:
             "center_size": len(self.center()),
             "generator_count": len(self.generators),
         }
-
-
-def _commutes(x, g, mode) -> bool:
-    a, b = x @ g, g @ x
-    if mode == "projective":
-        a = a.projective_canonical()[1]
-        b = b.projective_canonical()[1]
-    return a == b
 
 
 def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
@@ -162,7 +189,10 @@ def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
         mul = _projective_mul
         gens = [g.projective_canonical()[1] for g in gens]
         identity = identity.projective_canonical()[1]
-    elements = dimino(gens, identity, mul, cap)
+    cosets = None
+    if isinstance(identity, DenseMatrix):
+        cosets = partial(_stacked_coset, projective=mode == "projective")
+    elements = dimino(gens, identity, mul, cap, cosets)
     keys = frozenset(e.key() if isinstance(e, DenseMatrix) else e for e in elements)
     return GroupEnumeration(tuple(gens), mode, tuple(elements), keys)
 

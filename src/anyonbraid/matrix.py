@@ -2,10 +2,18 @@
 
 A matrix is stored as four int64 coefficient planes (one per power of
 z = exp(i*pi/4)) plus a shared power-of-two denominator, kept in normal
-form so equality and hashing are exact.  Every product folds its partial
-products through ring.zfold.  An operation whose exact result could reach
-2^62 in magnitude raises ValueError instead of wrapping around, so every
-result is exact.
+form so equality and hashing are exact.  An operation whose exact result
+could reach 2^62 in magnitude raises ValueError instead of wrapping
+around, so every result is exact.
+
+One product kernel, `_product`, serves single matrices and stacks: planes
+may carry leading batch axes, (..., 4, d, d) @ (4, d, d) or the reverse,
+and one broadcast np.matmul forms the 16 partial products that ring.zfold
+folds.  `MatrixStack` holds many matrices of one dimension as stacked
+planes with a denominator exponent per matrix; its normal form,
+projective canonical form and keys agree row by row with DenseMatrix, so
+Dimino cosets, the center scan and the synthesis BFS each run one stacked
+product per block of `BLOCK_ROWS` matrices instead of one per element.
 """
 
 from __future__ import annotations
@@ -17,10 +25,42 @@ from .ring import CycScalar, zfold
 _INT64_SAFE = 1 << 62
 
 
+# Matrices per stacked product in the callers that sweep many elements; it
+# bounds the memory of one block's 16 partial products.
+BLOCK_ROWS = 1024
+
+
 def _check_int64(bound: int) -> None:
     """Reject an operation whose coefficients could reach _INT64_SAFE."""
     if bound >= _INT64_SAFE:
         raise ValueError("exact matrix coefficients would overflow int64")
+
+
+def _product(a: np.ndarray, b: np.ndarray, max_a: int, max_b: int) -> np.ndarray:
+    """Planes of the exact product of planes a and b, either of which may
+    have leading batch axes; max_a, max_b bound their coefficients.  The
+    denominator exponents of the factors add; the result is not normalised."""
+    _check_int64(4 * a.shape[-1] * max_a * max_b)
+    t = np.matmul(a[..., :, None, :, :], b[..., None, :, :, :])  # (..., p, q, i, j)
+    return np.stack(zfold(np.moveaxis(t, (-4, -3), (0, 1))), axis=-3)
+
+
+def _key(dim: int, k: int, planes: np.ndarray) -> bytes:
+    """The byte key of a normal-form matrix: dim and k as 4-byte little-endian
+    integers, then the planes as native int64."""
+    return dim.to_bytes(4, "little") + k.to_bytes(4, "little") + planes.tobytes()
+
+
+def _rotate(planes: np.ndarray, e: int) -> np.ndarray:
+    """Planes times z^e: a signed rotation of the plane axis (-3)."""
+    e %= 8
+    if e >= 4:
+        planes = -planes
+        e -= 4
+    if e:
+        planes = np.concatenate([-planes[..., 4 - e:, :, :], planes[..., :4 - e, :, :]],
+                                axis=-3)
+    return planes
 
 
 class DenseMatrix:
@@ -85,8 +125,7 @@ class DenseMatrix:
         """Canonical hashable form; equal matrices have equal keys."""
         k = self._key
         if k is None:
-            k = self.dim.to_bytes(4, "little") + self.k.to_bytes(4, "little") \
-                + self.planes.tobytes()
+            k = _key(self.dim, self.k, self.planes)
             object.__setattr__(self, "_key", k)
         return k
 
@@ -105,12 +144,25 @@ class DenseMatrix:
 
     # -- arithmetic --------------------------------------------------
 
+    @classmethod
+    def _from_key(cls, key: bytes, dim: int, k: int, maxabs: int) -> DenseMatrix:
+        """The normal-form matrix whose key is `key`; its planes are a
+        read-only view of the key bytes after the 8-byte header, so the two
+        are stored once."""
+        m = object.__new__(cls)
+        planes = np.ndarray((4, dim, dim), dtype=np.int64, buffer=key, offset=8)
+        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "k", k)
+        object.__setattr__(m, "planes", planes)
+        object.__setattr__(m, "_maxabs", maxabs)
+        object.__setattr__(m, "_key", key)
+        return m
+
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        _check_int64(4 * self.dim * self._maxabs * other._maxabs)
-        t = np.tensordot(self.planes, other.planes, axes=([2], [1]))  # (p, i, q, j)
-        return DenseMatrix(np.stack(zfold(t.transpose(0, 2, 1, 3))), self.k + other.k)
+        return DenseMatrix(_product(self.planes, other.planes, self._maxabs, other._maxabs),
+                           self.k + other.k)
 
     def _aligned(self, other: DenseMatrix):
         k = max(self.k, other.k)
@@ -143,14 +195,7 @@ class DenseMatrix:
 
     def mul_zeta(self, e: int) -> DenseMatrix:
         """Multiply every entry by z^e (a signed plane rotation)."""
-        e %= 8
-        p = self.planes
-        if e >= 4:
-            p = -p
-            e -= 4
-        if e:
-            p = np.concatenate([-p[4 - e:], p[:4 - e]])
-        return DenseMatrix(p, self.k, _normalized=True)
+        return DenseMatrix(_rotate(self.planes, e), self.k, _normalized=True)
 
     def dagger(self) -> DenseMatrix:
         p = self.planes
@@ -222,3 +267,108 @@ class DenseMatrix:
     def to_complex(self) -> np.ndarray:
         return np.array([[self.entry(i, j).to_complex() for j in range(self.dim)]
                          for i in range(self.dim)])
+
+
+class MatrixStack:
+    """Matrices of one dimension as stacked planes (N, 4, d, d) with one
+    denominator exponent per matrix (N,).  Every row is in DenseMatrix normal
+    form, so row i of each stacked operation equals the DenseMatrix result."""
+
+    __slots__ = ("planes", "k")
+
+    def __init__(self, planes: np.ndarray, k: np.ndarray):
+        self.planes = planes
+        self.k = k
+
+    @classmethod
+    def of(cls, mats) -> MatrixStack:
+        return cls(np.stack([m.planes for m in mats]),
+                   np.array([m.k for m in mats], dtype=np.int64))
+
+    @classmethod
+    def normalized(cls, planes: np.ndarray, k: np.ndarray) -> MatrixStack:
+        """Divide each matrix by 2 while its k > 0 and its coefficients are
+        all even; a zero matrix gets k = 0 (the DenseMatrix normal form)."""
+        bits = np.bitwise_or.reduce(planes.reshape(len(k), -1), axis=1)
+        shift = np.zeros_like(k)
+        while True:
+            even = (shift < k) & (((bits >> shift) & 1) == 0)
+            if not even.any():
+                break
+            shift += even
+        if shift.any():
+            planes = planes >> shift[:, None, None, None]
+        return cls(planes, np.where(bits != 0, k - shift, 0))
+
+    @classmethod
+    def concatenate(cls, stacks) -> MatrixStack:
+        return cls(np.concatenate([s.planes for s in stacks]),
+                   np.concatenate([s.k for s in stacks]))
+
+    @classmethod
+    def interleave(cls, stacks) -> MatrixStack:
+        """Row i * len(stacks) + m is row i of stacks[m]."""
+        planes = np.stack([s.planes for s in stacks], axis=1)
+        return cls(planes.reshape(-1, *planes.shape[2:]),
+                   np.stack([s.k for s in stacks], axis=1).reshape(-1))
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, rows) -> MatrixStack:
+        return MatrixStack(self.planes[rows], self.k[rows])
+
+    def _maxabs(self) -> int:
+        return int(np.abs(self.planes).max(initial=0))
+
+    def __matmul__(self, other: DenseMatrix) -> MatrixStack:
+        """Row-wise self[i] @ other."""
+        if self.planes.shape[-1] != other.dim:
+            raise ValueError("dimension mismatch")
+        return MatrixStack.normalized(
+            _product(self.planes, other.planes, self._maxabs(), other._maxabs),
+            self.k + other.k)
+
+    def premul(self, other: DenseMatrix) -> MatrixStack:
+        """Row-wise other @ self[i]."""
+        if self.planes.shape[-1] != other.dim:
+            raise ValueError("dimension mismatch")
+        return MatrixStack.normalized(
+            _product(other.planes, self.planes, other._maxabs, self._maxabs()),
+            other.k + self.k)
+
+    def rows_equal(self, other: MatrixStack) -> np.ndarray:
+        """Boolean mask of the rows where self and other hold equal matrices."""
+        return (self.planes == other.planes).all(axis=(1, 2, 3)) & (self.k == other.k)
+
+    def projective_canonical(self) -> tuple[np.ndarray, MatrixStack]:
+        """Row-wise DenseMatrix.projective_canonical: the z-powers t and the
+        rows times z^-t.  phase_class runs once per distinct leading entry."""
+        n = len(self)
+        flat = self.planes.reshape(n, 4, -1)
+        nonzero = (flat != 0).any(axis=1)
+        first = nonzero.argmax(axis=1)          # row-major first nonzero entry
+        rows = np.arange(n)
+        if not nonzero[rows, first].all():
+            raise ValueError("zero matrix")
+        leads, which = np.unique(flat[rows, :, first], axis=0, return_inverse=True)
+        # The phase of an entry does not depend on the shared denominator.
+        t = np.array([CycScalar(*map(int, c)).phase_class()[0] for c in leads])
+        t = t[which.reshape(-1)]
+        planes = np.empty_like(self.planes)
+        for e in set(t.tolist()):
+            sel = t == e
+            planes[sel] = _rotate(self.planes[sel], -e)
+        return t, MatrixStack(planes, self.k)
+
+    def keys(self):
+        """Row-wise DenseMatrix.key(), made one row at a time."""
+        d = self.planes.shape[-1]
+        return (_key(d, k, row) for k, row in zip(self.k.tolist(), self.planes))
+
+    def matrices(self) -> list[DenseMatrix]:
+        """The rows as DenseMatrix objects, each built on its own key bytes."""
+        d = self.planes.shape[-1]
+        maxabs = np.abs(self.planes).reshape(len(self), -1).max(axis=1, initial=0)
+        return [DenseMatrix._from_key(key, d, k, m)
+                for key, k, m in zip(self.keys(), self.k.tolist(), maxabs.tolist())]

@@ -4,7 +4,9 @@ certificates via the symplectic quotient.
 synthesize() is a breadth-first search over projective canonical keys
 (global phases stripped), so it returns words of minimal letter count;
 ties are broken toward the lexicographically smallest letter sequence in
-the alphabet order 1 < -1 < 2 < -2 < ...  reachability() never searches:
+the alphabet order 1 < -1 < 2 < -2 < ...  Each level is computed as
+stacked products, one per move and block of states, and then visited in
+that (state, move) order.  reachability() never searches:
 it tests membership of the target's symplectic image in the subgroup
 generated by the braid generators' images, which is exact and cheap even
 where full enumeration is not.
@@ -21,7 +23,7 @@ from .braid import (BraidWord, RepContext, braid_generator,
 from .gates import swap_gate
 from .gf2 import BitMatrix
 from .groups import EnumerationCapExceeded
-from .matrix import DenseMatrix
+from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
 from .pauli import pauli_term
 from .symplectic import (CliffordAction, NonClifford, braid_symplectic,
                          clifford_check, group_orders, sp_order, symplectic_subgroup)
@@ -115,11 +117,14 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
         )
 
     t_target, target_canon = target.projective_canonical()
+    target_key = target_canon.key()
     start = rep_identity(ctx)
     t0, start_canon = start.projective_canonical()
     moves = _moves(ctx)
     parents: dict = {start_canon.key(): None}
-    frontier = [(start_canon, ())]
+    frontier, paths = MatrixStack.of([start_canon]), [()]
+    # states per block, so that a block's products fill at most BLOCK_ROWS rows
+    states = max(1, BLOCK_ROWS // len(moves))
     depth = 0
 
     def finish(letters) -> SynthResult:
@@ -135,25 +140,33 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
 
     if start_canon == target_canon:
         return finish(())
-    while frontier:
+    while len(frontier):
         if max_depth is not None and depth >= max_depth:
             return SynthResult("exhausted", None, None, len(parents), depth)
         depth += 1
-        new = []
-        for mat, letters in frontier:
-            for letter, g in moves:
-                nxt = (mat @ g).projective_canonical()[1]
-                key = nxt.key()
+        new, new_paths = [], []
+        for first in range(0, len(frontier), states):
+            block = frontier[first:first + states]
+            # row i * len(moves) + m is state i times move m: the order in
+            # which the states of the level are visited
+            step = MatrixStack.interleave([(block @ g).projective_canonical()[1]
+                                           for _, g in moves])
+            fresh = []
+            for i, key in enumerate(step.keys()):
                 if key in parents:
                     continue
                 if len(parents) >= cap:
                     raise EnumerationCapExceeded(cap)
+                letters = paths[first + i // len(moves)]
+                letter = moves[i % len(moves)][0]
                 parents[key] = (letters, letter)
                 seq = letters + (letter,)
-                if nxt == target_canon:
+                if key == target_key:
                     return finish(seq)
-                new.append((nxt, seq))
-        frontier = new
+                fresh.append(i)
+                new_paths.append(seq)
+            new.append(step[fresh])
+        frontier, paths = MatrixStack.concatenate(new), new_paths
     return SynthResult("exhausted", None, None, len(parents), depth)
 
 

@@ -208,6 +208,13 @@ GOLDEN_RUNS = (
     (["reach", "--n", "3", "--target", "swap:1,3"], 0, "reach_n3_swap13.json"),
     (["clifford-check", "--n", "2", "--target", f"file:{GOLDEN_DIR / 't_gate_n2.json'}"], 1,
      "clifford_check_n2_t_gate.json"),
+    # captured before Dimino, center() and the synthesis BFS took stacked products
+    (["enumerate", "--n", "1", "--dump-elements"], 0, "enumerate_n1_dump_elements.json"),
+    (["enumerate", "--n", "2"], 0, "enumerate_n2.json"),
+    (["enumerate", "--n", "2", "--mode", "projective"], 0, "enumerate_n2_projective.json"),
+    (["faithfulness", "--n", "3"], 0, "faithfulness_n3.json"),
+    (["synth", "--n", "2", "--target", "swap:1,2"], 0, "synth_n2_swap12.json"),
+    (["synth", "--n", "2", "--target", "cnot:1,2"], 0, "synth_n2_cnot12.json"),
 )
 
 

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from anyonbraid.braid import RepContext, braid_generator, eval_word, phase_word
 from anyonbraid.gates import swap_gate
-from anyonbraid.groups import (EnumerationCapExceeded, braid_image, dimino,
-                               enumerate_group, monodromy_equals_pauli,
+from anyonbraid.groups import (EnumerationCapExceeded, GroupEnumeration, braid_image,
+                               dimino, enumerate_group, monodromy_equals_pauli,
                                monodromy_image, pauli_group_matrices)
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.ring import I_UNIT
@@ -46,6 +48,21 @@ def bfs_keys(generators, mode="strict", cap=10 ** 8) -> frozenset:
         identity = identity.projective_canonical()[1]
         mul = projective_mul
     return frozenset(e.key() for e in bfs_closure(generators, identity, mul, cap))
+
+
+def commutes(x, g, mode) -> bool:
+    """The per-element commute test that the stacked center() replaced."""
+    a, b = x @ g, g @ x
+    if mode == "projective":
+        a = a.projective_canonical()[1]
+        b = b.projective_canonical()[1]
+    return a == b
+
+
+def center_by_elements(enum) -> list:
+    """The center oracle: one commute test per element and generator."""
+    gens = [enum.canonical(g) for g in enum.generators]
+    return [x for x in enum.elements if all(commutes(x, g, enum.mode) for g in gens)]
 
 
 def b4_generators():
@@ -99,6 +116,11 @@ def test_enumeration_cap():
         enumerate_group(gens, mode="strict", cap=50)
     with pytest.raises(EnumerationCapExceeded):
         bfs_keys(gens, "strict", cap=50)
+    # the cap is the largest order that enumerates
+    for mode, order in (("strict", 96), ("projective", 24)):
+        assert enumerate_group(gens, mode=mode, cap=order).order == order
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_group(gens, mode=mode, cap=order - 1)
 
 
 def test_non_invertible_generator_rejected():
@@ -123,6 +145,23 @@ def test_center_of_b4():
     assert set(x.key() for x in cen) == set(
         ident.mul_zeta(2 * m).key() for m in range(4)
     )
+
+
+def test_center_matches_elementwise_oracle():
+    for mode in ("strict", "projective"):
+        for parity in (1, -1):
+            enum = braid_image(1, parity, mode)
+            assert enum.center() == center_by_elements(enum)
+        # A seeded sample of B_6 over several blocks, with the center and the
+        # powers of the first generator, which commute with some generators
+        # but not all.
+        b6 = braid_image(2, 1, mode)
+        rng = random.Random(6)
+        sample = rng.sample(b6.elements, 2500) + list(b6.elements[:8]) + b6.center()
+        enum = GroupEnumeration(b6.generators, mode, tuple(sample), frozenset())
+        cen = enum.center()
+        assert cen == center_by_elements(enum)
+        assert len(cen) >= len(b6.center())
 
 
 def test_center_of_abelian_group_is_everything():
@@ -178,6 +217,20 @@ def test_b6_strict_order_and_center():
     assert set(x.key() for x in cen) == set(
         ident.mul_zeta(2 * m).key() for m in range(4)
     )
+
+
+# SHA-256 of the B_6 element keys in enumeration order, captured before
+# Dimino's coset step took stacked products
+B6_ORDER_DIGESTS = {
+    "strict": "f1c9a36115c03afd2c2f0fd08b6ad91032f3ca2faa68347be5b148942e76ee61",
+    "projective": "91a91ab25fe6c34dfa79c7c481098d9da081b341b70b755937cb4e9906e71e7d",
+}
+
+
+def test_b6_element_order_is_pinned():
+    for mode, digest in B6_ORDER_DIGESTS.items():
+        keys = b"".join(x.key() for x in braid_image(2, 1, mode).elements)
+        assert hashlib.sha256(keys).hexdigest() == digest, mode
 
 
 def test_b6_dimino_agrees_with_bfs():

@@ -2,9 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyonbraid.matrix import DenseMatrix
-from anyonbraid.ring import CycScalar, ONE, ZERO
+from anyonbraid.braid import BraidWord, RepContext, eval_word
+from anyonbraid.matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
+from anyonbraid.ring import BRAID_PHASE, INV_SQRT2, CycScalar, ONE, ZERO
+
+# reproducible examples, no example database left in the working tree
+EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def rand_scalar(rng, span=3, kmax=2):
@@ -52,6 +58,13 @@ def test_bigint_fallback_stays_exact():
         edge + edge
     with pytest.raises(ValueError, match="overflow"):
         DenseMatrix.from_entries([[1 << 62, 0], [0, 1]])
+    # the stacked product keeps the guard: 4 d max|X| max|g| >= 2^62 raises
+    stack = MatrixStack.of([a])
+    assert (stack @ b).matrices() == [a @ b]
+    assert stack.premul(b).matrices() == [b @ a]
+    for overflowing in (lambda: stack @ a, lambda: stack.premul(a)):
+        with pytest.raises(ValueError, match="overflow"):
+            overflowing()
 
 
 def test_add_sub_scale():
@@ -142,3 +155,44 @@ def test_dimension_mismatch_errors():
         a + b
     with pytest.raises(ValueError):
         DenseMatrix.from_entries([[1, 2, 3], [4, 5, 6]])
+
+
+@st.composite
+def braid_stacks(draw):
+    """(g, mats, rows): braid-word matrices for n = 1..4 in either parity,
+    each times a scalar with its own denominator, and a stack row count of
+    1, len(mats) or more than one block (row i holds mats[i % len(mats)])."""
+    n = draw(st.integers(1, 4))
+    ctx = RepContext(n, draw(st.sampled_from((1, -1))))
+    words = st.lists(st.tuples(st.integers(1, ctx.generator_count),
+                               st.sampled_from((1, -1))), max_size=8)
+    scales = st.sampled_from((ONE, INV_SQRT2, BRAID_PHASE, CycScalar(3, 0, 0, 1, 2),
+                              CycScalar(2), CycScalar(0, 0, -1, 0)))
+
+    def draw_matrix():
+        return eval_word(ctx, BraidWord(tuple(draw(words)))).scale(draw(scales))
+
+    g = draw_matrix()
+    mats = [draw_matrix() for _ in range(draw(st.integers(1, 4)))]
+    rows = draw(st.sampled_from((1, len(mats), BLOCK_ROWS + 5)))
+    return g, mats, rows
+
+
+@EXACT
+@given(braid_stacks())
+def test_stacked_products_match_elementwise(data):
+    g, mats, rows = data
+    stack = MatrixStack.of([mats[i % len(mats)] for i in range(rows)])
+    assert len(stack) == rows
+    for prod, single in ((stack @ g, lambda m: m @ g), (stack.premul(g), lambda m: g @ m)):
+        want = [single(m) for m in mats[:rows]]
+        canon = [m.projective_canonical() for m in want]
+        t, prod_canon = prod.projective_canonical()
+        got, got_canon = prod.matrices(), prod_canon.matrices()
+        keys, canon_keys = list(prod.keys()), list(prod_canon.keys())
+        for i in range(rows):
+            w, (tw, cw) = want[i % len(want)], canon[i % len(want)]
+            assert got[i] == w and keys[i] == w.key() and got[i].key() == w.key()
+            assert t[i] == tw and got_canon[i] == cw and canon_keys[i] == cw.key()
+    assert (stack @ g).matrices()[0] == naive_mul(mats[0], g)
+    assert stack.premul(g).matrices()[0] == naive_mul(g, mats[0])
