@@ -40,6 +40,8 @@ def phase_gate(n: int, qubit: int) -> DenseMatrix:
 
 
 def hadamard_gate(n: int, qubit: int) -> DenseMatrix:
+    if not 1 <= qubit <= n:
+        raise IndexError("qubit out of range")
     h = DenseMatrix.from_entries([
         [INV_SQRT2, INV_SQRT2],
         [INV_SQRT2, -INV_SQRT2],

@@ -80,9 +80,8 @@ class BitMatrix:
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector; v packs v_i in bit i."""
         acc = 0
-        for i in range(self.n):
-            if bin(self.rows[i] & v).count("1") & 1:
-                acc |= 1 << i
+        for i, r in enumerate(self.rows):
+            acc |= ((r & v).bit_count() & 1) << i
         return acc
 
     def inverse(self) -> BitMatrix:

@@ -135,14 +135,21 @@ def group_orders(n: int) -> GroupOrders:
     pauli = 2 ** (2 * n + 2)
     projective_pauli = 2 ** (2 * n)
     projective_clifford = projective_pauli * sp_order(n, 2)
-    if n == 1:
-        braid_image = 16 * factorial(3)  # S_4 is not faithful; S_3 instead
-    else:
-        braid_image = pauli * factorial(2 * n + 2)
+    braid_image = pauli * factorial(symmetric_degree(n))
     return GroupOrders(pauli, projective_pauli, projective_clifford,
                        braid_image, braid_image // 4)
 
 
+def symmetric_degree(n: int) -> int:
+    """The degree m of the symmetric group S_m that <S_1..S_2n+1> is:
+    2n+2 for n >= 2, where S_2n+2 acts faithfully, and 3 for n = 1, where
+    S_4 acts through S_3."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return 2 * n + 2 if n >= 2 else 3
+
+
+@lru_cache(maxsize=None)
 def braid_symplectic(n: int, j: int) -> BitMatrix:
     """The printed symplectic matrix of the j-th braid generator, n qubits."""
     if n < 1:
@@ -261,16 +268,11 @@ class FaithfulnessVerdict:
 
 
 def faithfulness_check(n: int) -> FaithfulnessVerdict:
-    """Order of <S_1..S_2n+1>: (2n+2)! for n >= 2 (faithful S_2n+2),
-    6 for n = 1 (S_3, since S_3 = S_1 there)."""
-    order = len(symplectic_subgroup(n))
-    if n >= 2:
-        degree = 2 * n + 2
-        expected = factorial(degree)
-    else:
-        degree = 3
-        expected = 6
-    return FaithfulnessVerdict(n, order, expected, degree)
+    """Order of <S_1..S_2n+1> by enumeration, against the closed form:
+    (2n+2)! for n >= 2 (faithful S_2n+2), 6 for n = 1 (S_3, since S_3 = S_1
+    there)."""
+    degree = symmetric_degree(n)
+    return FaithfulnessVerdict(n, len(symplectic_subgroup(n)), factorial(degree), degree)
 
 
 def braid_generator_action(ctx: RepContext, j: int) -> CliffordAction:

@@ -6,27 +6,34 @@ synthesize() is a breadth-first search over projective canonical keys
 ties are broken toward the lexicographically smallest letter sequence in
 the alphabet order 1 < -1 < 2 < -2 < ...  Each level is computed as
 stacked products, one per move and block of states, and then visited in
-that (state, move) order.  reachability() never searches:
-it tests membership of the target's symplectic image in the subgroup
-generated by the braid generators' images, which is exact and cheap even
-where full enumeration is not.
+that (state, move) order.  reachability() never searches and never
+enumerates: braiding permutes Majorana modes (Ivanov's rule), so
+<S_1..S_2n+1> acts as a symmetric group on the Pauli vectors of the
+Majorana pairs.  A target's symplectic image either sends some pair vector
+outside that set, which certifies it lies outside <S_j>, or permutes the
+set; the point permutation is then bubble-sorted into a word in the S_j
+whose product must equal the image exactly.  clifford_word_via_quotient()
+builds its words from the same permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from math import factorial
+from operator import xor
 
-from .braid import (BraidWord, RepContext, braid_generator,
-                    braid_generator_inverse, eval_word, phase_word, rep_identity)
+from .braid import (BraidWord, RepContext, braid_generator, braid_generator_inverse,
+                    eval_word, phase_word, rep_identity, square_formulas)
 from .gates import swap_gate
 from .gf2 import BitMatrix
 from .groups import EnumerationCapExceeded
 from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
 from .pauli import pauli_term
-from .symplectic import (CliffordAction, NonClifford, braid_symplectic,
-                         clifford_check, group_orders, sp_order, symplectic_subgroup)
+from .symplectic import (CliffordAction, NonClifford, braid_symplectic, clifford_check,
+                         group_orders, sp_order, symmetric_degree)
 
 HEAVY_BFS_QUBITS = 3  # full-image BFS beyond this needs an explicit opt-in
 
@@ -84,20 +91,90 @@ def _letters_to_word(letters) -> BraidWord:
     return BraidWord(tuple((abs(x), 1 if x > 0 else -1) for x in letters))
 
 
+@lru_cache(maxsize=None)
+def _majorana_table(n: int) -> dict[int, tuple[int, ...]]:
+    """The Pauli vectors on which <S_1..S_2n+1> acts as a symmetric group,
+    each keyed to the points it names; S_j swaps points j and j + 1.
+
+    For n >= 2 the points are the 2n+2 Majorana modes, and x_ab = w_a + ...
+    + w_(b-1) names the pair (a, b) (w_j packs the Pauli that
+    square_formulas gives for R_j^2).  For n = 1 complementary pairs share a
+    vector and S_4 acts through S_3, so the points are the three nonzero
+    vectors w_2, w_1 + w_2, w_1 themselves.  Every printed S_j is checked to
+    permute the table, so an image that sends a vector outside it is
+    certified to lie outside <S_j>.
+    """
+    w = {j: sum(bit << i for i, bit in enumerate(p.v))
+         for j, p in square_formulas(RepContext(n))}
+    if n == 1:
+        table = {w[2]: (1,), w[1] ^ w[2]: (2,), w[1]: (3,)}
+    else:
+        table = {reduce(xor, (w[k] for k in range(a, b))): (a, b)
+                 for a, b in combinations(range(1, 2 * n + 3), 2)}
+    for j in range(1, 2 * n + 2):
+        s = braid_symplectic(n, j)
+        if any(s.mul_vec(x) not in table for x in table):
+            raise RuntimeError(f"printed S_{j} does not permute the Majorana pair vectors")
+    return table
+
+
+def _majorana_letters(n: int, s: BitMatrix) -> tuple[list[int] | None, list[list[int]]]:
+    """(letters, []) with S_letters[0] @ ... @ S_letters[-1] == s exactly,
+    or (None, escapes) when s sends table vectors outside the table; escapes
+    lists the points those vectors name, which certifies s is outside <S_j>.
+
+    Each point's image is the one point common to the images of all the
+    table vectors that name it.  Bubble sort undoes that permutation one
+    adjacent swap at a time, and the swaps read backwards spell it.
+    """
+    table = _majorana_table(n)
+    images = {x: s.mul_vec(x) for x in table}
+    escapes = [list(table[x]) for x, y in images.items() if y not in table]
+    if escapes:
+        return None, escapes
+    perm = []
+    for a in range(1, symmetric_degree(n) + 1):
+        common = set.intersection(*(set(table[y]) for x, y in images.items()
+                                    if a in table[x]))
+        if len(common) != 1:
+            raise RuntimeError("symplectic image permutes the pair vectors but no point")
+        perm.extend(common)
+    swaps = []
+    for end in range(len(perm) - 1, 0, -1):
+        for j in range(1, end + 1):
+            if perm[j - 1] > perm[j]:
+                perm[j - 1], perm[j] = perm[j], perm[j - 1]
+                swaps.append(j)
+    letters = swaps[::-1]
+    product = BitMatrix.identity(2 * n)
+    for j in letters:
+        product = product @ braid_symplectic(n, j)
+    if product != s:
+        raise RuntimeError("Majorana permutation word does not reproduce the symplectic image")
+    return letters, []
+
+
 def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
     """Certificate-level reachability: a Clifford target is braid-reachable
     iff its symplectic image lies in <S_1..S_2n+1>, because the kernel of
-    the symplectic map (Pauli gates and i-powers) is entirely reachable."""
+    the symplectic map (Pauli gates and i-powers) is entirely reachable.
+    An obstruction lists the Majorana pairs whose vectors the image sends
+    outside the pair set; a reachable image was rebuilt exactly from the
+    S_j."""
+    if not ctx.compressed:
+        raise ValueError("reachability runs on the compressed representation")
     if target.dim != ctx.dim:
         raise ValueError("target dimension does not match the context")
     act = clifford_check(target)
     if isinstance(act, NonClifford):
         return ReachResult("not_clifford", None, None, act.to_json_dict())
-    sub = symplectic_subgroup(ctx.n_qubits)
-    if act.s in sub:
-        return ReachResult("reachable", act.s, len(sub))
-    return ReachResult("obstruction", act.s, len(sub),
-                       {"sp_order": sp_order(ctx.n_qubits, 2)})
+    n = ctx.n_qubits
+    order = factorial(symmetric_degree(n))
+    _letters, escapes = _majorana_letters(n, act.s)
+    if escapes:
+        return ReachResult("obstruction", act.s, order,
+                           {"escapes": escapes, "sp_order": sp_order(n, 2)})
+    return ReachResult("reachable", act.s, order)
 
 
 def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = None,
@@ -108,6 +185,10 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
         raise ValueError("target dimension does not match the context")
     if not target.is_unitary():
         raise ValueError("target is not unitary")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
     reach = reachability(ctx, target)
     if reach.verdict != "reachable":
         return SynthResult("unrealizable", None, None, 0, 0, reach.to_json_dict())
@@ -170,38 +251,6 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
     return SynthResult("exhausted", None, None, len(parents), depth)
 
 
-@lru_cache(maxsize=None)
-def _symplectic_parents(n: int) -> dict[BitMatrix, tuple[BitMatrix, int] | None]:
-    """BFS tree over <S_j> with parent pointers (moves multiply on the right)."""
-    gens = [(j, braid_symplectic(n, j)) for j in range(1, 2 * n + 2)]
-    ident = BitMatrix.identity(2 * n)
-    parents: dict[BitMatrix, tuple[BitMatrix, int] | None] = {ident: None}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for s in frontier:
-            for j, g in gens:
-                t = s @ g
-                if t not in parents:
-                    parents[t] = (s, j)
-                    new.append(t)
-        frontier = new
-    return parents
-
-
-def _symplectic_word(n: int, s: BitMatrix) -> list[int]:
-    parents = _symplectic_parents(n)
-    if s not in parents:
-        raise KeyError("symplectic matrix outside the braid-image subgroup")
-    letters = []
-    cur = s
-    while parents[cur] is not None:
-        prev, j = parents[cur]
-        letters.append(j)
-        cur = prev
-    return letters[::-1]
-
-
 def _pauli_fixup_word(n: int, v) -> BraidWord:
     """A braid word whose evaluation is sigma_v up to a global phase.
 
@@ -234,10 +283,11 @@ def _pauli_fixup_word(n: int, v) -> BraidWord:
 def clifford_word_via_quotient(ctx: RepContext, target: DenseMatrix) -> tuple[BraidWord, int]:
     """Constructive synthesis through the symplectic quotient.
 
-    Finds a word matching the target's symplectic image, then corrects the
-    Pauli-group remainder with squares of generators.  Words are not
-    length-minimal; the result satisfies eval(word) = z^p * target exactly
-    and (word, p) is returned.
+    Spells the target's symplectic image as a word in the S_j from the
+    Majorana permutation it induces (a reduced word for that permutation),
+    then corrects the Pauli-group remainder with squares of generators.
+    Words are not length-minimal; the result satisfies
+    eval(word) = z^p * target exactly and (word, p) is returned.
     """
     if not ctx.compressed:
         raise ValueError("synthesis runs on the compressed representation")
@@ -245,7 +295,9 @@ def clifford_word_via_quotient(ctx: RepContext, target: DenseMatrix) -> tuple[Br
     if isinstance(act, NonClifford):
         raise ValueError("target is not a Clifford gate")
     n = ctx.n_qubits
-    letters = _symplectic_word(n, act.s)
+    letters, _escapes = _majorana_letters(n, act.s)
+    if letters is None:
+        raise ValueError("target's symplectic image lies outside the braid image")
     w1 = _letters_to_word(letters)
     v_mat = eval_word(ctx, w1)
     d = v_mat.dagger() @ target
@@ -316,8 +368,7 @@ class MissingGateReport:
 def missing_gate_report(n: int, check_generation: bool = False) -> MissingGateReport:
     """Computational survey of which SWAP embeddings escape the braid image
     and whether adding one of them recovers the full symplectic group."""
-    ctx = RepContext(n)
-    sub = symplectic_subgroup(n)
+    order = factorial(symmetric_degree(n))
     full = sp_order(n, 2)
     obstructed, reachable = [], []
     for a in range(1, n + 1):
@@ -325,7 +376,8 @@ def missing_gate_report(n: int, check_generation: bool = False) -> MissingGateRe
             act = clifford_check(swap_gate(n, a, b))
             if not isinstance(act, CliffordAction):
                 raise RuntimeError(f"SWAP({a},{b}) is not Clifford")
-            (reachable if act.s in sub else obstructed).append((a, b))
+            _letters, escapes = _majorana_letters(n, act.s)
+            (obstructed if escapes else reachable).append((a, b))
     generates = None
     if check_generation and obstructed:
         from .groups import dimino
@@ -335,6 +387,6 @@ def missing_gate_report(n: int, check_generation: bool = False) -> MissingGateRe
         gens = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)] + [act.s]
         generates = len(dimino(gens, BitMatrix.identity(2 * n))) == full
     return MissingGateReport(
-        n, len(sub), full, full // len(sub),
+        n, order, full, full // order,
         tuple(obstructed), tuple(reachable), generates,
     )

@@ -169,6 +169,13 @@ def test_fusion(capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(capsys, "synth", "--n", "2", "--target", "warp:1")[0] == 2
     assert run_cli(capsys, "eval-word", "--n", "1", "--word", "7")[0] == 2
+    for argv in (["reach", "--n", "3", "--target", "h:0"],
+                 ["reach", "--n", "3", "--target", "h:4"],
+                 ["synth", "--n", "1", "--target", "h:1", "--max-depth", "-1"],
+                 ["synth", "--n", "1", "--target", "h:1", "--cap", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
     too_big = [1 << 62, 0, 0, 0, 0]
     zero = [0, 0, 0, 0, 0]
     for bad in ({"dim": 2, "entries": [1, 2]},
@@ -215,6 +222,9 @@ GOLDEN_RUNS = (
     (["faithfulness", "--n", "3"], 0, "faithfulness_n3.json"),
     (["synth", "--n", "2", "--target", "swap:1,2"], 0, "synth_n2_swap12.json"),
     (["synth", "--n", "2", "--target", "cnot:1,2"], 0, "synth_n2_cnot12.json"),
+    # verdict, s_target, sp_order and subgroup_order checked against the
+    # enumeration of <S_j> for n = 4
+    (["reach", "--n", "4", "--target", "swap:1,2"], 1, "reach_n4_swap12.json"),
 )
 
 
@@ -255,10 +265,11 @@ def test_certificates_survive_optimize_flag():
     for path in Path(anyonbraid.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
-    golden = (GOLDEN_DIR / "clifford_check_n3_word.json").read_text(encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "anyonbraid.cli", "clifford-check", "--n", "3",
-         "--word", "1 2 -4 7 5"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stdout == golden
+    for argv, name in ((["clifford-check", "--n", "3", "--word", "1 2 -4 7 5"],
+                        "clifford_check_n3_word.json"),
+                       (["reach", "--n", "3", "--target", "swap:1,3"], "reach_n3_swap13.json")):
+        golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-O", "-m", "anyonbraid.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, argv
+        assert proc.stdout == golden, argv

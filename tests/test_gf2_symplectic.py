@@ -47,6 +47,16 @@ def test_bitmatrix_mul_matches_naive():
                 assert prod.entry(i, j) == want
 
 
+def test_bitmatrix_mul_vec_matches_naive():
+    rng = random.Random(53)
+    for size in (2, 6, 16):
+        for _ in range(20):
+            a, v = rand_bitmatrix(rng, size), rng.randrange(1 << size)
+            want = sum((sum(a.entry(i, k) * ((v >> k) & 1) for k in range(size)) & 1) << i
+                       for i in range(size))
+            assert a.mul_vec(v) == want
+
+
 def test_omega_matrix():
     m = omega_matrix(2)
     assert m.to_bitstrings() == ["0100", "1000", "0001", "0010"]

@@ -1,16 +1,28 @@
 import itertools
+import json
+import os
 import random
+from math import factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyonbraid.braid import RepContext, eval_word
+import anyonbraid.synth as synth
+from anyonbraid.braid import BraidWord, RepContext, eval_word
 from anyonbraid.gates import (cnot_gate, cz_gate, hadamard_gate, pauli_gate,
                               phase_gate, swap_gate)
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.ring import CycScalar
+from anyonbraid.symplectic import braid_symplectic, clifford_check, symplectic_subgroup
 from anyonbraid.synth import (clifford_word_via_quotient, coverage_ratio,
                               exact_clifford_word, missing_gate_report,
                               reachability, synthesize)
+
+# reproducible examples, no example database left in the working tree
+EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_identity_synthesis_is_empty_word():
@@ -162,6 +174,8 @@ def test_missing_gate_report_generation():
     # braid image plus one obstructed SWAP generates the full Sp_6(2)
     rep = missing_gate_report(3, check_generation=True)
     assert rep.swap_plus_braid_generates_sp is True
+    golden = (GOLDEN_DIR / "missing_gates_n3_generation.json").read_text(encoding="utf-8")
+    assert json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n" == golden
 
 
 def test_heavy_bfs_requires_opt_in():
@@ -170,3 +184,114 @@ def test_heavy_bfs_requires_opt_in():
         synthesize(ctx, swap_gate(3, 1, 3))
     res = synthesize(ctx, swap_gate(3, 1, 3), max_depth=1)
     assert res.verdict == "exhausted"
+
+
+@st.composite
+def braid_words(draw, qubits):
+    """A context of n qubits in qubits, either parity, and a random braid word."""
+    n = draw(st.sampled_from(qubits))
+    ctx = RepContext(n, draw(st.sampled_from((1, -1))))
+    letters = draw(st.lists(st.tuples(st.integers(1, ctx.generator_count),
+                                      st.sampled_from((1, -1))), max_size=14))
+    return ctx, BraidWord(tuple(letters))
+
+
+@EXACT
+@given(braid_words((1, 2, 3, 4, 5)))
+def test_braid_words_reachable_and_quotient_round_trips(data):
+    ctx, word = data
+    target = eval_word(ctx, word)
+    reach = reachability(ctx, target)
+    assert reach.verdict == "reachable"
+    assert reach.s_target == clifford_check(target).s
+    assert reach.subgroup_order == factorial(3 if ctx.n_qubits == 1 else 2 * ctx.n_qubits + 2)
+    quotient, p = clifford_word_via_quotient(ctx, target)
+    assert eval_word(ctx, quotient) == target.mul_zeta(p)
+
+
+@EXACT
+@given(braid_words((3, 4)))
+def test_braid_word_times_swap_is_obstructed(data):
+    ctx, word = data
+    res = reachability(ctx, eval_word(ctx, word) @ swap_gate(ctx.n_qubits, 1, 2))
+    assert res.verdict == "obstruction"
+    assert res.detail["escapes"]
+    assert all(1 <= a < b <= ctx.strands for a, b in res.detail["escapes"])
+    with pytest.raises(ValueError):
+        clifford_word_via_quotient(ctx, eval_word(ctx, word) @ swap_gate(ctx.n_qubits, 1, 2))
+
+
+def _gates(n):
+    """Every SWAP and CZ embedding on n qubits."""
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        yield swap_gate(n, a, b)
+        yield cz_gate(n, a, b)
+
+
+@EXACT
+@given(braid_words((1, 2, 3)), st.lists(st.integers(0, 5), max_size=3))
+def test_verdicts_equal_enumerated_membership(data, picks):
+    # braid words interleaved with SWAP and CZ embeddings reach both verdicts
+    ctx, word = data
+    n = ctx.n_qubits
+    gates = list(_gates(n)) or [hadamard_gate(1, 1)]
+    target = eval_word(ctx, word)
+    for i in picks:
+        target = target @ gates[i % len(gates)] @ eval_word(ctx, word)
+    res = reachability(ctx, target)
+    sub = symplectic_subgroup(n)
+    assert res.verdict == ("reachable" if res.s_target in sub else "obstruction")
+    assert res.subgroup_order == len(sub)
+
+
+def test_majorana_table_has_one_vector_per_pair():
+    assert len(synth._majorana_table(1)) == 3
+    for n in range(2, 9):
+        assert sorted(synth._majorana_table(n).values()) == \
+            list(itertools.combinations(range(1, 2 * n + 3), 2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_subgroup_element_is_spelled_exactly(n):
+    # Sp_2(2) and Sp_4(2) are the whole braid image; each element gets a word
+    for s in symplectic_subgroup(n):
+        letters, escapes = synth._majorana_letters(n, s)
+        assert escapes == []
+        product = s.identity(2 * n)
+        for j in letters:
+            product = product @ braid_symplectic(n, j)
+        assert product == s
+
+
+@pytest.mark.parametrize("swap_in, message", [
+    # S_4 replaced by S_SWAP(1,2): the table check fails when it is built,
+    # which is what makes an obstruction a certificate
+    (lambda n: clifford_check(swap_gate(n, 1, 2)).s, "S_4 does not permute"),
+    # S_4 replaced by S_3 S_4 S_3, which permutes the pairs as (3 5): the
+    # table check passes and only the exact product check catches it
+    (lambda n: braid_symplectic(n, 3) @ braid_symplectic(n, 4) @ braid_symplectic(n, 3),
+     "does not reproduce"),
+])
+def test_wrong_printed_generator_raises(monkeypatch, swap_in, message):
+    def printed(n, j):
+        return swap_in(n) if j == 4 else braid_symplectic(n, j)
+
+    synth._majorana_table.cache_clear()
+    monkeypatch.setattr(synth, "braid_symplectic", printed)
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            reachability(RepContext(3), swap_gate(3, 1, 3))
+    finally:
+        synth._majorana_table.cache_clear()
+
+
+@pytest.mark.skipif(not os.environ.get("ANYONBRAID_HEAVY"),
+                    reason="enumerating <S_j> for n = 4 takes about 45 s and 900 MB; "
+                           "set ANYONBRAID_HEAVY=1 to run")
+def test_n4_embeddings_match_enumeration():
+    ctx = RepContext(4)
+    sub = symplectic_subgroup(4)
+    for target in _gates(4):
+        res = reachability(ctx, target)
+        assert res.verdict == ("reachable" if res.s_target in sub else "obstruction")
+        assert res.subgroup_order == len(sub)
