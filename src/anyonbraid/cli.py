@@ -15,7 +15,7 @@ import sys
 from .braid import BraidWord, RepContext, eval_word, named_gate
 from .fusion import FusionLabel, count_paths, enumerate_paths
 from .gates import parse_gate_target
-from .groups import braid_image, monodromy_equals_pauli
+from .groups import EnumerationCapExceeded, braid_image, monodromy_equals_pauli
 from .matrix import DenseMatrix
 from .symplectic import (CliffordAction, basis_change_t, braid_symplectic,
                          clifford_check, faithfulness_check, group_orders,
@@ -30,6 +30,14 @@ def _parity(s: str) -> int:
     if s in ("-", "-1"):
         return -1
     raise argparse.ArgumentTypeError("parity must be + or -")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors start with "error:", like
+    every other exit-code-2 message of the CLI."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
@@ -106,7 +114,7 @@ def cmd_orders(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.n >= 3 and not args.heavy:
         sys.stderr.write(
-            "enumerating the braid image for n >= 3 stores >10^7 exact matrices; "
+            "error: enumerating the braid image for n >= 3 stores >10^7 exact matrices; "
             "pass --heavy to confirm\n"
         )
         return 2
@@ -128,8 +136,10 @@ def cmd_clifford_check(args) -> int:
     ctx = RepContext(args.n, args.parity, args.form)
     if args.word is not None:
         mat = eval_word(ctx, BraidWord.from_text(args.word))
-    else:
+    elif args.target is not None:
         mat = _target_matrix(args, args.n)
+    else:
+        raise ValueError("clifford-check needs --word or --target")
     act = clifford_check(mat)
     if isinstance(act, CliffordAction):
         payload = {"clifford": True}
@@ -203,7 +213,7 @@ def cmd_fusion(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anyonbraid",
         description="Exact Ising-anyon braiding representations and their Clifford reach",
     )
@@ -300,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError, KeyError, OSError) as exc:
+    except (ValueError, IndexError, KeyError, OSError, EnumerationCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,4 +1,6 @@
-"""Bit-packed GF(2) square matrices (each row one Python int)."""
+"""Bit-packed GF(2) square matrices (each row one Python int), and a
+Schreier-Sims stabiliser chain that gives the exact order of a group of
+them, and decides membership in it, without listing its elements."""
 
 from __future__ import annotations
 
@@ -69,7 +71,11 @@ class BitMatrix:
                 acc ^= brows[low.bit_length() - 1]
                 x ^= low
             out.append(acc)
-        return BitMatrix(self.n, tuple(out))
+        # rows combined from masked rows need no mask
+        m = object.__new__(BitMatrix)
+        object.__setattr__(m, "n", self.n)
+        object.__setattr__(m, "rows", tuple(out))
+        return m
 
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.n, tuple(
@@ -131,3 +137,88 @@ def is_symplectic(s: BitMatrix) -> bool:
         return False
     m = omega_matrix(s.n // 2)
     return s.transpose() @ m @ s == m
+
+
+class StabiliserChain:
+    """Deterministic Schreier-Sims stabiliser chain of a group of invertible
+    n x n BitMatrix elements acting on column vectors (Seress, Permutation
+    Group Algorithms, CUP 2003, ch. 4; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, 4.4.2).
+
+    The base is the unit vectors e_0..e_(n-1): a matrix that fixes all of
+    them is the identity, so the base never grows.  Level i holds strong
+    generators fixing e_0..e_(i-1) and the orbit of e_i under them, each
+    point p with a transversal pair (u, u^-1), u e_i = p.  Every Schreier
+    generator of every level sifts to the identity once the chain is built,
+    so order() is the product of the orbit lengths and contains() is one
+    sift, both exact.
+    """
+
+    def __init__(self, generators, n: int):
+        one = BitMatrix.identity(n)
+        self.n = n
+        self.gens = [[] for _ in range(n)]
+        self.orbits = [{1 << i: (one, one)} for i in range(n)]
+        self.tested = [set() for _ in range(n)]
+        for g in generators:
+            if g.n != n:
+                raise ValueError("generator dimension mismatch")
+            g, j = self._sift(g, 0)
+            if j < n:
+                self._add(g, 0, j)
+        i = n - 1
+        while i >= 0:
+            i = self._schreier_level(i)
+
+    def _add(self, g: BitMatrix, lo: int, hi: int) -> None:
+        """g (fixing e_0..e_(lo-1)) as a strong generator of levels lo..hi."""
+        pair = (g, g.inverse())
+        for level in range(lo, hi + 1):
+            gens, orbit = self.gens[level], self.orbits[level]
+            gens.append(pair)
+            queue = list(orbit)
+            for p in queue:
+                u, u_inv = orbit[p]
+                for k, (x, x_inv) in enumerate(gens):
+                    q = x.mul_vec(p)
+                    if q not in orbit:
+                        orbit[q] = (x @ u, u_inv @ x_inv)
+                        self.tested[level].add((p, k))
+                        queue.append(q)
+
+    def _sift(self, g: BitMatrix, level: int) -> tuple[BitMatrix, int]:
+        """(residue, j): g stripped through levels level..j-1, j the first
+        level whose orbit misses the residue's image of e_j (n if none, in
+        which case the residue is the identity)."""
+        for j in range(level, self.n):
+            entry = self.orbits[j].get(g.mul_vec(1 << j))
+            if entry is None:
+                return g, j
+            g = entry[1] @ g
+        return g, self.n
+
+    def _schreier_level(self, i: int) -> int:
+        """Sift the untested Schreier generators of level i; on the first
+        that does not sift, add its residue to the levels it fixes into and
+        return the level to resume from, else return i - 1."""
+        orbit, gens, tested = self.orbits[i], self.gens[i], self.tested[i]
+        for p, (u, _) in orbit.items():
+            for k, (x, _) in enumerate(gens):
+                if (p, k) in tested:
+                    continue
+                tested.add((p, k))
+                h = orbit[x.mul_vec(p)][1] @ x @ u
+                residue, j = self._sift(h, i + 1)
+                if j < self.n:
+                    self._add(residue, i + 1, j)
+                    return j
+        return i - 1
+
+    def order(self) -> int:
+        out = 1
+        for orbit in self.orbits:
+            out *= len(orbit)
+        return out
+
+    def contains(self, s: BitMatrix) -> bool:
+        return s.n == self.n and self._sift(s, 0)[1] == self.n

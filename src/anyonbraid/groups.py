@@ -11,20 +11,25 @@ z-power.
 For DenseMatrix groups each Dimino coset H*t is one stacked product per
 block of matrix.BLOCK_ROWS elements of H, and center() tests a block of
 elements against each generator at once, keeping only the survivors for
-the next generator.  Other element types (BitMatrix) take one product per
-element through the same loop.
+the next generator.  When the group holds every single-qubit X and Z up
+to phase, as the braid images do, only its elements z^e sigma_v can be
+central, so center() tests those and no others.  Other element types
+(BitMatrix) take one product per element through the same Dimino loop;
+the library takes GF(2) group orders from gf2.StabiliserChain instead,
+and keeps that loop as the chain's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
 from .braid import RepContext, braid_generator, eval_word, monodromy_word
 from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
-from .pauli import PauliElement
+from .pauli import PauliElement, pauli_vector_matrix
 
 DEFAULT_CAP = 10 ** 8
 
@@ -132,14 +137,45 @@ class GroupEnumeration:
         x = self.canonical(element)
         return (x.key() if isinstance(x, DenseMatrix) else x) in self.keys
 
+    def _stored_keys(self, m: DenseMatrix) -> list[bytes]:
+        """Keys under which a z-power multiple of m would be stored."""
+        if self.mode == "projective":
+            return [self.canonical(m).key()]
+        return [m.mul_zeta(e).key() for e in range(8)]
+
+    def _pauli_keys(self) -> frozenset | None:
+        """Keys of every z^e sigma_v when keys holds a z-power multiple of
+        each single-qubit X_q and Z_q, else None."""
+        if not self.generators:
+            return None
+        dim = self.generators[0].dim
+        n = dim.bit_length() - 1
+        if dim != 1 << n:
+            return None
+        for q in range(1, n + 1):
+            for axis in (1, 3):
+                single = PauliElement.single(n, q, axis).to_matrix()
+                if self.keys.isdisjoint(self._stored_keys(single)):
+                    return None
+        return frozenset(k for v in product((0, 1), repeat=2 * n)
+                         for k in self._stored_keys(pauli_vector_matrix(v)))
+
     def center(self) -> list:
         """Elements commuting with every generator (up to a global phase in
-        projective mode).  Each block of elements is tested against one
+        projective mode), in the order of `elements`.
+
+        When the group holds a z-power multiple of every X_q and Z_q, a
+        central element commutes (up to phase) with every Pauli and so is
+        z^e sigma_v: only those elements are tested.  Otherwise every
+        element is.  Each block of candidates is tested against one
         generator at a time, and only its survivors meet the next one."""
         gens = [self.canonical(g) for g in self.generators]
+        paulis = self._pauli_keys()
+        candidates = (self.elements if paulis is None
+                      else [x for x in self.elements if x.key() in paulis])
         out = []
-        for start in range(0, len(self.elements), BLOCK_ROWS):
-            block = self.elements[start:start + BLOCK_ROWS]
+        for start in range(0, len(candidates), BLOCK_ROWS):
+            block = candidates[start:start + BLOCK_ROWS]
             x, keep = MatrixStack.of(block), np.arange(len(block))
             for g in gens:
                 a, b = x @ g, x.premul(g)

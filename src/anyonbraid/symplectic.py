@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 
 from .braid import RepContext, braid_generator
-from .gf2 import BitMatrix, is_symplectic, omega_matrix
+from .gf2 import BitMatrix, StabiliserChain, is_symplectic, omega_matrix
 from .matrix import DenseMatrix
 from .pauli import pauli_basis_decompose, pauli_term, times_pauli
 
@@ -238,7 +238,8 @@ def tilde_printed(n: int, j: int) -> BitMatrix:
 
 @lru_cache(maxsize=None)
 def symplectic_subgroup(n: int) -> frozenset[BitMatrix]:
-    """The subgroup of Sp_2n(2) generated by the braid generator images."""
+    """The subgroup of Sp_2n(2) generated by the braid generator images,
+    enumerated element by element (the oracle for the stabiliser chain)."""
     from .groups import dimino
 
     gens = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)]
@@ -268,11 +269,12 @@ class FaithfulnessVerdict:
 
 
 def faithfulness_check(n: int) -> FaithfulnessVerdict:
-    """Order of <S_1..S_2n+1> by enumeration, against the closed form:
-    (2n+2)! for n >= 2 (faithful S_2n+2), 6 for n = 1 (S_3, since S_3 = S_1
-    there)."""
+    """Order of <S_1..S_2n+1> from its stabiliser chain, against the closed
+    form: (2n+2)! for n >= 2 (faithful S_2n+2), 6 for n = 1 (S_3, since
+    S_3 = S_1 there)."""
     degree = symmetric_degree(n)
-    return FaithfulnessVerdict(n, len(symplectic_subgroup(n)), factorial(degree), degree)
+    chain = StabiliserChain([braid_symplectic(n, j) for j in range(1, 2 * n + 2)], 2 * n)
+    return FaithfulnessVerdict(n, chain.order(), factorial(degree), degree)
 
 
 def braid_generator_action(ctx: RepContext, j: int) -> CliffordAction:

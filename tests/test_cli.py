@@ -172,10 +172,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for argv in (["reach", "--n", "3", "--target", "h:0"],
                  ["reach", "--n", "3", "--target", "h:4"],
                  ["synth", "--n", "1", "--target", "h:1", "--max-depth", "-1"],
-                 ["synth", "--n", "1", "--target", "h:1", "--cap", "0"]):
+                 ["synth", "--n", "1", "--target", "h:1", "--cap", "0"],
+                 ["synth", "--n", "2", "--target", "swap:1,2", "--cap", "5"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
+    assert err == "error: enumeration exceeded cap of 5 elements\n"
     too_big = [1 << 62, 0, 0, 0, 0]
     zero = [0, 0, 0, 0, 0]
     for bad in ({"dim": 2, "entries": [1, 2]},
@@ -225,6 +227,17 @@ GOLDEN_RUNS = (
     # verdict, s_target, sp_order and subgroup_order checked against the
     # enumeration of <S_j> for n = 4
     (["reach", "--n", "4", "--target", "swap:1,2"], 1, "reach_n4_swap12.json"),
+    # captured before the center scan took Pauli candidates and the
+    # symplectic orders came from a stabiliser chain
+    (["faithfulness", "--n", "1"], 0, "faithfulness_n1.json"),
+    (["faithfulness", "--n", "2"], 0, "faithfulness_n2.json"),
+    (["missing-gates", "--n", "2", "--check-generation"], 0,
+     "missing_gates_n2_generation.json"),
+    (["orders", "--n", "2"], 0, "orders_n2.json"),
+    (["symplectic", "--n", "2"], 0, "symplectic_n2.json"),
+    (["verify-relations", "--n", "3"], 0, "verify_relations_n3.json"),
+    (["fusion", "--num-sigma", "8", "--parity", "-", "--labels"], 0,
+     "fusion_8_minus_labels.json"),
 )
 
 

@@ -1,11 +1,16 @@
+import itertools
 import random
 import time
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonbraid.braid import RepContext, braid_generator, eval_word
-from anyonbraid.gates import hadamard_gate, phase_gate
-from anyonbraid.gf2 import BitMatrix, is_symplectic, omega_matrix
+from anyonbraid.gates import cz_gate, hadamard_gate, phase_gate, swap_gate
+from anyonbraid.gf2 import BitMatrix, StabiliserChain, is_symplectic, omega_matrix
+from anyonbraid.groups import EnumerationCapExceeded, dimino
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.pauli import PauliElement
 from anyonbraid.ring import CycScalar
@@ -210,3 +215,70 @@ def test_faithfulness(n, expected):
     assert len(symplectic_subgroup(n)) == expected
     for s in list(symplectic_subgroup(n))[:50]:
         assert is_symplectic(s)
+
+
+CHAIN_EXAMPLES = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+DIMINO_CAP = 50_000  # about 0.4 s of GF(2) Dimino
+
+
+def chain_alphabet(n):
+    """The printed S_j and the images of every SWAP and CZ embedding."""
+    gens = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)]
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        gens += [clifford_check(swap_gate(n, a, b)).s, clifford_check(cz_gate(n, a, b)).s]
+    return gens
+
+
+@st.composite
+def generator_subsets(draw):
+    n = draw(st.sampled_from((1, 2, 3)))
+    alphabet = chain_alphabet(n)
+    picks = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=1, max_size=6,
+                          unique=True))
+    return n, [alphabet[i] for i in picks]
+
+
+@CHAIN_EXAMPLES
+@given(generator_subsets())
+def test_chain_order_equals_dimino(data):
+    n, gens = data
+    chain = StabiliserChain(gens, 2 * n)
+    assert sp_order(n, 2) % chain.order() == 0
+    assert all(chain.contains(g) for g in gens)
+    try:
+        elements = dimino(gens, BitMatrix.identity(2 * n), cap=DIMINO_CAP)
+    except EnumerationCapExceeded:
+        assert chain.order() > DIMINO_CAP
+    else:
+        assert chain.order() == len(elements)
+
+
+def test_chain_contains_matches_enumeration_on_sp4():
+    # every element of Sp_4(2), in or out of the group of S_1 and S_3
+    whole = dimino(chain_alphabet(2), BitMatrix.identity(4))
+    assert len(whole) == sp_order(2, 2)
+    small = [braid_symplectic(2, 1), braid_symplectic(2, 3)]
+    members = set(dimino(small, BitMatrix.identity(4)))
+    chain = StabiliserChain(small, 4)
+    assert chain.order() == len(members) < len(whole)
+    assert [chain.contains(s) for s in whole] == [s in members for s in whole]
+    assert not chain.contains(BitMatrix.identity(2))
+
+
+@CHAIN_EXAMPLES
+@given(st.lists(st.integers(0, len(chain_alphabet(3)) - 1), max_size=12))
+def test_chain_contains_matches_symplectic_subgroup(word):
+    alphabet = chain_alphabet(3)
+    s = BitMatrix.identity(6)
+    for i in word:
+        s = s @ alphabet[i]
+    chain = StabiliserChain(alphabet[:7], 6)
+    assert chain.contains(s) == (s in symplectic_subgroup(3))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_chain_orders_match_closed_forms(n):
+    braids = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)]
+    assert StabiliserChain(braids, 2 * n).order() == factorial(2 * n + 2)
+    swap = clifford_check(swap_gate(n, 1, 2)).s
+    assert StabiliserChain(braids + [swap], 2 * n).order() == sp_order(n, 2)

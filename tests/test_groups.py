@@ -147,18 +147,26 @@ def test_center_of_b4():
     )
 
 
+@pytest.mark.slow
 def test_center_matches_elementwise_oracle():
     for mode in ("strict", "projective"):
-        for parity in (1, -1):
-            enum = braid_image(1, parity, mode)
-            assert enum.center() == center_by_elements(enum)
+        # B_4 and B_6 hold every X_q and Z_q up to phase, so center() tests
+        # only their elements z^e sigma_v; the oracle tests every element
+        for n in (1, 2):
+            for parity in (1, -1):
+                enum = braid_image(n, parity, mode)
+                assert enum._pauli_keys() is not None
+                cen = enum.center()
+                assert cen == center_by_elements(enum), (n, mode, parity)
+                assert len(cen) == (4 if mode == "strict" else 1)
         # A seeded sample of B_6 over several blocks, with the center and the
         # powers of the first generator, which commute with some generators
-        # but not all.
+        # but not all.  Without keys, every element is tested.
         b6 = braid_image(2, 1, mode)
         rng = random.Random(6)
         sample = rng.sample(b6.elements, 2500) + list(b6.elements[:8]) + b6.center()
         enum = GroupEnumeration(b6.generators, mode, tuple(sample), frozenset())
+        assert enum._pauli_keys() is None
         cen = enum.center()
         assert cen == center_by_elements(enum)
         assert len(cen) >= len(b6.center())
@@ -168,7 +176,30 @@ def test_center_of_abelian_group_is_everything():
     g = DenseMatrix.from_entries([[1, 0], [0, I_UNIT]])
     enum = enumerate_group([g], mode="strict")
     assert enum.order == 4
+    assert enum._pauli_keys() is None
     assert len(enum.center()) == 4
+
+
+def test_center_without_paulis_scans_every_element():
+    # the cyclic group of one braid generator holds no sigma1 of qubit 2, so
+    # center() cannot restrict to Pauli candidates; the group is abelian
+    gen = braid_generator(RepContext(2), 1)
+    for mode in ("strict", "projective"):
+        enum = enumerate_group([gen], mode=mode)
+        assert enum._pauli_keys() is None
+        cen = enum.center()
+        assert cen == center_by_elements(enum) == list(enum.elements)
+
+
+def test_center_of_pauli_group_keeps_phased_paulis():
+    # projectively the Pauli group is abelian, so every candidate z^e sigma_v
+    # is central; strictly only its four scalars are
+    strict = pauli_group_matrices(2)
+    proj = enumerate_group(strict.generators, mode="projective")
+    assert proj.order == 16 and proj._pauli_keys() is not None
+    assert proj.center() == center_by_elements(proj) == list(proj.elements)
+    assert strict.center() == center_by_elements(strict)
+    assert len(strict.center()) == 4
 
 
 def test_monodromy_image_is_pauli_group():

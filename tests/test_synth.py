@@ -13,6 +13,7 @@ import anyonbraid.synth as synth
 from anyonbraid.braid import BraidWord, RepContext, eval_word
 from anyonbraid.gates import (cnot_gate, cz_gate, hadamard_gate, pauli_gate,
                               phase_gate, swap_gate)
+from anyonbraid.gf2 import StabiliserChain
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.ring import CycScalar
 from anyonbraid.symplectic import braid_symplectic, clifford_check, symplectic_subgroup
@@ -283,6 +284,30 @@ def test_wrong_printed_generator_raises(monkeypatch, swap_in, message):
             reachability(RepContext(3), swap_gate(3, 1, 3))
     finally:
         synth._majorana_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_reach_agrees_with_chain_membership(n):
+    # the stabiliser chain of <S_j> is an oracle independent of the Majorana
+    # table: every SWAP and CZ embedding (all obstructed for n = 4, 5), and
+    # braid words alone and times SWAP(1,2)
+    chain = StabiliserChain([braid_symplectic(n, j) for j in range(1, 2 * n + 2)], 2 * n)
+    assert chain.order() == factorial(2 * n + 2)
+    ctx = RepContext(n)
+    rng = random.Random(n)
+    targets = list(_gates(n))
+    for _ in range(3):
+        word = BraidWord(tuple((rng.randint(1, ctx.generator_count), rng.choice((1, -1)))
+                               for _ in range(6)))
+        braid = eval_word(ctx, word)
+        targets += [braid, braid @ swap_gate(n, 1, 2)]
+    verdicts = set()
+    for target in targets:
+        res = reachability(ctx, target)
+        assert res.verdict == ("reachable" if chain.contains(res.s_target) else "obstruction")
+        assert res.subgroup_order == chain.order()
+        verdicts.add(res.verdict)
+    assert verdicts == {"reachable", "obstruction"}
 
 
 @pytest.mark.skipif(not os.environ.get("ANYONBRAID_HEAVY"),
