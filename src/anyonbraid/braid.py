@@ -16,6 +16,19 @@ irreducible parity sectors.  A RepContext selects the form:
 Words multiply left to right: the word "1 3 -5" evaluates to
 R_1 R_3 R_5^(-1) in that operator order.  Global phases are kept as-is;
 projective comparisons go through DenseMatrix.projective_canonical.
+
+No generator is built from gamma matrices, and no letter costs a matrix
+product.  G_j = gamma_j gamma_{j+1} is a phased permutation, kept per
+(ctx, j) as an O(d) table read off the two gammas' Pauli strings, and
+each letter applies the letter rule
+
+    R_j X = ((1+i)/2)(X - G_j X),   R_j^(-1) X = ((1-i)/2)(X + G_j X),
+
+where G_j X is a phased row permutation of X.  eval_word forms a word
+from the right, one gather of signed rows per letter, and the generators
+are the rule applied to the unit of the form.  G_j commutes with the
+parity projector, so the rule is the same in all three forms.  The dense
+gamma construction remains as the oracle in verify.py and the tests.
 """
 
 from __future__ import annotations
@@ -23,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .gamma import compress_matrix, gamma, projector
-from .matrix import DenseMatrix
-from .pauli import PauliElement
-from .ring import BRAID_PHASE, BRAID_PHASE_CONJ, I_UNIT
+import numpy as np
+
+from .gamma import _embedding, compress_matrix, gamma, projector
+from .matrix import DenseMatrix, _check_int64
+from .pauli import PauliElement, pauli_sparse, phased_row_index, signed_rows
+from .ring import I_UNIT
 
 FORMS = ("compressed", "projected", "unprojected")
 
@@ -116,33 +131,74 @@ class BraidWord:
 
 @lru_cache(maxsize=None)
 def braid_generator(ctx: RepContext, j: int) -> DenseMatrix:
-    """R_j in the representation selected by ctx."""
-    return _generator(ctx, j, inverse=False)
+    """R_j in the representation selected by ctx: the letter rule applied
+    to the unit of the form."""
+    return _apply_letter(_letter_rows(ctx, j, False), rep_identity(ctx))
 
 
 @lru_cache(maxsize=None)
 def braid_generator_inverse(ctx: RepContext, j: int) -> DenseMatrix:
     """R_j^(-1) = e^{-i pi/4}/sqrt(2) * (I + gamma_j gamma_{j+1}), projected
     and compressed per ctx."""
-    return _generator(ctx, j, inverse=True)
+    return _apply_letter(_letter_rows(ctx, j, True), rep_identity(ctx))
 
 
-def _generator(ctx: RepContext, j: int, inverse: bool) -> DenseMatrix:
+def _gamma_pauli(m: int, j: int) -> PauliElement:
+    """gamma_j on m qubits as a Pauli string: sigma1 (j odd) or sigma2
+    (j even) on qubit (j+1)//2, sigma3 on every later qubit."""
+    slot = (j + 1) // 2
+    out = PauliElement.single(m, slot, 1 if j % 2 else 2)
+    for q in range(slot + 1, m + 1):
+        out = out * PauliElement.single(m, q, 3)
+    return out
+
+
+def exchange_table(ctx: RepContext, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """G_j = gamma_j gamma_{j+1} in the form of ctx as the phased permutation
+    (perm, ipow): G_j[r, perm[r]] = i^ipow[r], zero elsewhere.
+
+    It is the product of two Pauli strings, so no matrix is multiplied.
+    G_j commutes with the parity projector, so the compressed form keeps
+    the rows of the parity subspace, whose columns stay inside it; there
+    G_j = i R_j^2, i times the Pauli that square_formulas states.
+    """
     if not 1 <= j <= ctx.generator_count:
         raise IndexError(f"generator index {j} out of range 1..{ctx.generator_count}")
     m = ctx.n_qubits + 1
-    gg = gamma(m, j) @ gamma(m, j + 1)
-    ident = DenseMatrix.identity(2 ** m)
-    if inverse:
-        mat = (ident + gg).scale(BRAID_PHASE_CONJ)
-    else:
-        mat = (ident - gg).scale(BRAID_PHASE)
-    if ctx.form == "unprojected":
-        return mat
-    mat = mat @ projector(m, ctx.parity)
-    if ctx.form == "projected":
-        return mat
-    return compress_matrix(mat, ctx.n_qubits, ctx.parity)
+    g = _gamma_pauli(m, j) * _gamma_pauli(m, j + 1)
+    perm, ipow = pauli_sparse(g.v)
+    ipow = (ipow + g.m) % 4
+    if ctx.compressed:
+        idx = _embedding(ctx.n_qubits, ctx.parity)
+        perm, ipow = perm[idx] >> 1, ipow[idx]
+    return perm, ipow
+
+
+@lru_cache(maxsize=None)
+def _letter_rows(ctx: RepContext, j: int, inverse: bool) -> np.ndarray:
+    """Row indices (4 terms, 4 planes, d) into pauli.signed_rows(X) whose
+    sum over terms is 2 R_j X (or 2 R_j^(-1) X):
+    (1 + i)(X - G_j X) = X + i X - G_j X - i G_j X and
+    (1 - i)(X + G_j X) = X - i X + G_j X - i G_j X."""
+    perm, ipow = exchange_table(ctx, j)
+    rows = np.arange(len(perm))
+    idx = np.stack([phased_row_index(rows, 0), phased_row_index(rows, 3 if inverse else 1),
+                    phased_row_index(perm, ipow + (0 if inverse else 2)),
+                    phased_row_index(perm, ipow + 3)])
+    idx.flags.writeable = False
+    return idx
+
+
+def _apply_letter(idx: np.ndarray, out: DenseMatrix) -> DenseMatrix:
+    """R_j @ out by the letter rule: R_j = ((1+i)/2)(I - G_j) and
+    R_j^(-1) = ((1-i)/2)(I + G_j), where G_j @ out is a phased row
+    permutation of out, so the product is one gather of signed rows.
+
+    In projected form out = P X for the projector P, and since G_j commutes
+    with P, (R_j P) @ out = R_j @ out: one rule serves all three forms.
+    """
+    _check_int64(4 * out._maxabs)
+    return DenseMatrix(signed_rows(out.planes)[idx].sum(axis=0), out.k + 1)
 
 
 @lru_cache(maxsize=None)
@@ -154,15 +210,16 @@ def rep_identity(ctx: RepContext) -> DenseMatrix:
 
 
 def eval_word(ctx: RepContext, word: BraidWord | str | list) -> DenseMatrix:
-    """Left-to-right product of the generators named by the word."""
+    """Left-to-right product of the generators named by the word, formed
+    from the right by the letter rule (no matrix product)."""
     word = as_word(word)
     if word.max_index() > ctx.generator_count:
         raise IndexError("word uses a generator outside the context range")
     out = rep_identity(ctx)
-    for j, e in word.letters:
-        g = braid_generator(ctx, j) if e > 0 else braid_generator_inverse(ctx, j)
+    for j, e in reversed(word.letters):
+        idx = _letter_rows(ctx, j, e < 0)
         for _ in range(abs(e)):
-            out = out @ g
+            out = _apply_letter(idx, out)
     return out
 
 
@@ -244,7 +301,7 @@ def phase_element(ctx: RepContext) -> DenseMatrix:
     out = eval_word(ctx, word)
     expected = rep_identity(ctx).mul_zeta(2)
     if out != expected:
-        raise AssertionError("phase element did not evaluate to i * identity")
+        raise RuntimeError("phase element did not evaluate to i * identity")
     return out
 
 

@@ -233,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-matrix", help="matrix of a generator or a named gate word")
     common(p, form=True, pretty=True)
-    p.add_argument("--generator", type=int, help="braid generator index")
-    p.add_argument("--gate", choices=("phase", "hadamard_last", "cz_pair", "cz_swap_pair"))
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--generator", type=int, help="braid generator index")
+    which.add_argument("--gate", choices=("phase", "hadamard_last", "cz_pair", "cz_swap_pair"))
     p.add_argument("--qubit", type=int, default=1)
     p.set_defaults(func=cmd_gen_matrix)
 

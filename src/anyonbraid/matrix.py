@@ -70,12 +70,14 @@ class DenseMatrix:
         planes = np.asarray(planes, dtype=np.int64)
         if planes.ndim != 3 or planes.shape[0] != 4 or planes.shape[1] != planes.shape[2]:
             raise ValueError("planes must have shape (4, dim, dim)")
-        if not _normalized:
-            while k > 0 and not (planes & 1).any():
-                planes = planes >> 1
-                k -= 1
-            if not planes.any():
-                k = 0
+        if not _normalized and k > 0:
+            # the lowest set bit of the OR of all coefficients (two's
+            # complement keeps it for negatives) is the power of 2 dividing all
+            bits = int(np.bitwise_or.reduce(planes, axis=None))
+            shift = min(k, (bits & -bits).bit_length() - 1) if bits else k
+            if shift:
+                planes = planes >> shift
+                k -= shift
         m = int(np.abs(planes).max(initial=0))
         planes.flags.writeable = False
         object.__setattr__(self, "dim", planes.shape[1])

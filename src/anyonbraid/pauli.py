@@ -8,6 +8,10 @@ pairs (v_{2i-1}, v_{2i}) encode the factor on qubit i:
 With that convention sigma_p sigma_q = (-1)^(p*q) sigma_{p xor q} where
 p*q = sum_i p_{2i} q_{2i-1}, and two elements commute iff the symplectic
 form p^T M q vanishes (M = I_n tensor [[0,1],[1,0]] over F2).
+
+sigma_v is kept sparse, as (perm, ipow) with sigma_v[r, perm[r]] =
+i^ipow[r].  A product with such a phased permutation is a gather of the
+rows of (X, -X) (signed_rows, phased_row_index), never a matrix product.
 """
 
 from __future__ import annotations
@@ -94,25 +98,20 @@ class PauliElement:
 
 @lru_cache(maxsize=None)
 def _pauli_sparse_cached(v: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, ipow): sigma_v[r, perm[r]] = i^ipow[r], zero elsewhere."""
+    """(perm, ipow): sigma_v[r, perm[r]] = i^ipow[r], zero elsewhere.
+
+    Per qubit, with b the row's bit: sigma1 (1,0) flips b; sigma2 (0,1)
+    flips b with phase i^(3 + 2b); i*sigma3 (1,1) keeps b with phase
+    i^(1 + 2b).
+    """
     n = len(v) // 2
-    d = 2 ** n
-    perm = np.zeros(d, dtype=np.int64)
-    ipow = np.zeros(d, dtype=np.int64)
-    for r in range(d):
-        c, e = r, 0
-        for q in range(n):
-            b1, b2 = v[2 * q], v[2 * q + 1]
-            bit = (r >> (n - 1 - q)) & 1
-            if b1 and b2:        # i*sigma3: diag(i, -i)
-                e += 1 if bit == 0 else 3
-            elif b1:             # sigma1: flip
-                c ^= 1 << (n - 1 - q)
-            elif b2:             # sigma2: row 0 -> -i at col 1, row 1 -> i at col 0
-                e += 3 if bit == 0 else 1
-                c ^= 1 << (n - 1 - q)
-        perm[r] = c
-        ipow[r] = e % 4
+    b1 = np.array(v[0::2], dtype=np.int64)
+    b2 = np.array(v[1::2], dtype=np.int64)
+    shifts = np.arange(n - 1, -1, -1)
+    rows = np.arange(2 ** n)
+    bit = (rows[:, None] >> shifts) & 1
+    perm = rows ^ int(((b1 ^ b2) << shifts).sum())
+    ipow = ((2 * bit + 3 - 2 * b1) * b2).sum(axis=1) % 4
     perm.flags.writeable = False
     ipow.flags.writeable = False
     return perm, ipow
@@ -146,24 +145,68 @@ def _times_ipow(planes: np.ndarray, e) -> np.ndarray:
     return np.where(e >= 2, -out, out)
 
 
-def times_pauli(mat: DenseMatrix, v) -> DenseMatrix:
-    """mat @ sigma_v without a product: column r of mat times i^ipow[r]
-    becomes column perm[r]."""
-    perm, ipow = pauli_sparse(v)
-    planes = np.empty_like(mat.planes)
-    planes[:, :, perm] = _times_ipow(mat.planes, ipow)
-    return DenseMatrix(planes, mat.k, _normalized=True)
+def signed_rows(planes: np.ndarray) -> np.ndarray:
+    """The rows of (planes, -planes) as one (8d, d) array; phased_row_index
+    picks from it."""
+    d = planes.shape[-1]
+    return np.concatenate([planes, -planes]).reshape(8 * d, d)
+
+
+def phased_row_index(perm: np.ndarray, ipow) -> np.ndarray:
+    """Indices into signed_rows(X) that give the planes (4, d, d) of G @ X
+    for G[r, perm[r]] = i^ipow[r]: row r of G X is i^ipow[r] times row
+    perm[r] of X, and plane p of z^t * a is plane (p - t) mod 8 of (a, -a)."""
+    return ((np.arange(4)[:, None] - 2 * np.asarray(ipow)) % 8) * len(perm) + perm
+
+
+def pauli_columns(mat: DenseMatrix, vs) -> np.ndarray:
+    """Planes (len(vs), 4, d, d) of mat @ sigma_v for each v, as one gather:
+    (mat sigma_v)^T = sigma_v^T mat^T, and sigma_v^T is the phased
+    permutation (perm, ipow[perm]) because perm is an involution."""
+    rows = signed_rows(mat.planes.transpose(0, 2, 1))
+    return rows[_column_index(tuple(map(tuple, vs)))].transpose(0, 1, 3, 2)
+
+
+@lru_cache(maxsize=None)
+def _column_index(vs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    idx = np.stack([phased_row_index(perm, ipow[perm])
+                    for perm, ipow in map(_pauli_sparse_cached, vs)])
+    idx.flags.writeable = False
+    return idx
+
+
+def qubit_bits(n: int) -> np.ndarray:
+    """The basis indices 2^(n-1-q) that set only qubit q's bit, q = 0..n-1."""
+    return 1 << np.arange(n - 1, -1, -1)
+
+
+def read_term(head: np.ndarray, others: np.ndarray,
+              x: int) -> tuple[tuple[int, ...], list[int]] | None:
+    """The candidate (v, c) for w == c * sigma_v, when row 0 of w holds a
+    single nonzero entry head = w[0, x] (planes (4,)) and others holds the
+    planes (4, n) of w[b, b ^ x] for b = qubit_bits(n); c is the four
+    coefficients of c over w's denominator.
+
+    Column x gives the X part of every qubit.  Each w[b, b ^ x] must be
+    +-w[0, x], and the sign gives qubit q's Z part; otherwise None.  The
+    caller confirms the candidate.
+    """
+    n = others.shape[1]
+    neg = (others == -head[:, None]).all(axis=0)
+    if not (neg | (others == head[:, None]).all(axis=0)).all():
+        return None
+    flip = (qubit_bits(n) & x) != 0
+    v = tuple(b for pair in zip((flip ^ neg).tolist(), neg.tolist()) for b in map(int, pair))
+    c = head.tolist()
+    for _ in range(-int(_pauli_sparse_cached(v)[1][0]) % 4):
+        c = [-c[2], -c[3], c[0], c[1]]  # times i
+    return v, c
 
 
 def pauli_term(mat: DenseMatrix) -> tuple[tuple[int, ...], CycScalar] | None:
-    """(v, c) when mat == c * sigma_v exactly, otherwise None.
-
-    Row 0 must hold a single nonzero entry; its column x gives the X part
-    of every qubit.  The entry of the row that sets only qubit q's bit,
-    in column that row xor x, is +-mat[0, x]; the sign gives qubit q's
-    Z part.  The candidate is then confirmed against every entry of the
-    sparse (perm, ipow) form of sigma_v.
-    """
+    """(v, c) when mat == c * sigma_v exactly, otherwise None: read_term's
+    candidate, confirmed against every entry of the sparse (perm, ipow) form
+    of sigma_v."""
     d = mat.dim
     n = d.bit_length() - 1
     if 2 ** n != d:
@@ -173,28 +216,19 @@ def pauli_term(mat: DenseMatrix) -> tuple[tuple[int, ...], CycScalar] | None:
     if len(row0) != 1:
         return None
     x = int(row0[0])
-    head = planes[:, 0, x]
-    v = []
-    for q in range(n):
-        b = 1 << (n - 1 - q)
-        flip = (x >> (n - 1 - q)) & 1
-        other = planes[:, b, b ^ x]
-        if (other == head).all():
-            neg = 0
-        elif (other == -head).all():
-            neg = 1
-        else:
-            return None
-        v += [flip ^ neg, neg]
-    v = tuple(v)
+    bits = qubit_bits(n)
+    term = read_term(planes[:, 0, x], planes[:, bits, bits ^ x], x)
+    if term is None:
+        return None
+    v, c = term
     perm, ipow = _pauli_sparse_cached(v)
-    c = _times_ipow(head, -ipow[0])
     # every mat[r, perm[r]] equals c * i^ipow[r], which is nonzero, and
     # no other entry is nonzero
-    if (not np.array_equal(planes[:, np.arange(d), perm], _times_ipow(c[:, None], ipow))
+    if (not np.array_equal(planes[:, np.arange(d), perm],
+                           _times_ipow(np.array(c)[:, None], ipow))
             or np.count_nonzero(planes.any(axis=0)) != d):
         return None
-    return v, CycScalar(int(c[0]), int(c[1]), int(c[2]), int(c[3]), mat.k)
+    return v, CycScalar(*c, mat.k)
 
 
 def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[tuple[int, ...], CycScalar]]:

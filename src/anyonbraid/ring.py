@@ -174,7 +174,7 @@ class CycScalar:
             if x._in_phase_domain():
                 return t, x
             x = x.mul_zeta(-1)
-        raise AssertionError("no rotation in fundamental domain")
+        raise RuntimeError("no rotation in fundamental domain")
 
     def ipower(self) -> int | None:
         """m with self == i^m, or None if self is not a power of i."""
@@ -216,4 +216,3 @@ SQRT2 = CycScalar(0, 1, 0, -1)
 INV_SQRT2 = CycScalar(0, 1, 0, -1, 1)
 # e^{i pi/4}/sqrt(2) = (1+i)/2, the braid-generator prefactor
 BRAID_PHASE = CycScalar(1, 0, 1, 0, 1)
-BRAID_PHASE_CONJ = CycScalar(1, 0, -1, 0, 1)

@@ -5,6 +5,11 @@ Conventions: for a Clifford U the action is read off from U sigma_p U^dagger
 = i^f(p) sigma_{S p} with S acting on column vectors, so S_{UV} = S_U S_V
 and the generator matrices match the block forms of the braid generators'
 symplectic images.
+
+clifford_check costs one dense product, the unitarity check U U^dagger = I.
+Each conjugated generator Pauli is read from O(n d) entries of
+U sigma_g U^dagger and confirmed by comparing two signed permutations of U
+(Aaronson and Gottesman, quant-ph/0406196: Clifford data is O(n^2), not d^2).
 """
 
 from __future__ import annotations
@@ -13,10 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
+
 from .braid import RepContext, braid_generator
 from .gf2 import BitMatrix, StabiliserChain, is_symplectic, omega_matrix
-from .matrix import DenseMatrix
-from .pauli import pauli_basis_decompose, pauli_term, times_pauli
+from .matrix import DenseMatrix, _product
+from .pauli import (pauli_basis_decompose, pauli_columns, pauli_sparse, phased_row_index,
+                    qubit_bits, read_term, signed_rows)
+from .ring import CycScalar, zfold
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,16 @@ class NonClifford:
 def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     """Decide Clifford membership by conjugating the 2n generator Paulis.
 
-    Each W = (U sigma_g) U^dagger costs one dense product (U sigma_g is a
-    signed column permutation of U), and pauli_term reads W as a single
-    Pauli term and confirms it exactly.  The verdict is CliffordAction(s, f)
-    when each image is a single Pauli with an i-power phase (s is then
-    checked symplectic), otherwise the first offending generator and its
+    The unitarity check U U^dagger = I is the one dense product.  For each
+    generator g, U sigma_g is a signed column permutation of U (all 2n are
+    one gather).  Of W_g = U sigma_g U^dagger only row 0 (one stacked
+    vector-matrix product for all g) and the n entries W_g[b, b ^ x_g] are
+    formed, and pauli.read_term reads a candidate W_g = c sigma_v from them.
+    It is accepted only if c = i^m and U sigma_g == i^m sigma_v U exactly;
+    that compares two signed permutations of U and, U being unitary, is
+    equivalent to W_g = c sigma_v.  The verdict is CliffordAction(s, f) when
+    every generator passes (s is then checked symplectic); otherwise W_g is
+    formed for the first generator that fails and NonClifford reports its
     exact Pauli-basis expansion.
     """
     if not u.is_unitary():
@@ -61,19 +75,36 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     if 2 ** n != d:
         raise ValueError("dimension must be a power of two")
     udag = u.dagger()
+    gens = [tuple(1 if b == g else 0 for b in range(2 * n)) for g in range(2 * n)]
+    u_sigmas = pauli_columns(u, gens)
+    # row 0 of every W_g = U sigma_g U^dagger, and in it the column x_g of
+    # the first nonzero entry
+    row0 = _product(u_sigmas[:, :, :1, :], udag.planes, u._maxabs, u._maxabs)[:, :, 0, :]
+    nonzero = row0.any(axis=1)
+    xs = nonzero.argmax(axis=1)
+    # W_g[b, b ^ x_g] for b = 2^(n-1-q), from the 16 partial sums of each;
+    # row 0's product has checked the int64 bound that covers them
+    bits = qubit_bits(n)
+    t = np.einsum("gpik,qkgi->pqgi", u_sigmas[:, :, bits, :],
+                  udag.planes[:, :, bits ^ xs[:, None]])
+    others = np.stack(zfold(t), axis=1)
+    u_rows = signed_rows(u.planes)
     cols = []
     phases = []
-    for g in range(2 * n):
-        v = tuple(1 if b == g else 0 for b in range(2 * n))
-        w = times_pauli(u, v) @ udag
-        term = pauli_term(w)
-        if term is None:
-            terms = pauli_basis_decompose(w)
-            return NonClifford(v, tuple((tv, c.to_list()) for tv, c in terms))
-        tv, c = term
-        m = c.ipower()
+    for g, v in enumerate(gens):
+        m = None
+        x = int(xs[g])
+        term = read_term(row0[g, :, x], others[g], x) if nonzero[g].sum() == 1 else None
+        if term is not None:
+            tv, c = term
+            m = CycScalar(*c, 2 * u.k).ipower()
+        if m is not None:
+            perm, ipow = pauli_sparse(tv)
+            if not np.array_equal(u_sigmas[g], u_rows[phased_row_index(perm, ipow + m)]):
+                m = None
         if m is None:
-            return NonClifford(v, ((tv, c.to_list()),))
+            w = DenseMatrix(u_sigmas[g], u.k, _normalized=True) @ udag
+            return NonClifford(v, tuple((tv, c.to_list()) for tv, c in pauli_basis_decompose(w)))
         cols.append(tv)
         phases.append(m)
     s = BitMatrix(2 * n, tuple(

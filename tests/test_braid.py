@@ -1,15 +1,20 @@
+import json
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyonbraid.braid import (BraidWord, RepContext, braid_generator,
-                              braid_generator_inverse, cz_pair_word, eval_word,
-                              monodromy, monodromy_closed_form, monodromy_word,
-                              named_gate, phase_element, phase_word, rep_identity,
-                              square_formulas)
+from anyonbraid.braid import (BraidWord, RepContext, _apply_letter, _gamma_pauli,
+                              _letter_rows, braid_generator, braid_generator_inverse,
+                              cz_pair_word, eval_word, exchange_table, monodromy,
+                              monodromy_closed_form, monodromy_word, named_gate,
+                              phase_element, phase_word, rep_identity, square_formulas)
 from anyonbraid.gamma import SIGMA1, SIGMA3, compress_matrix, gamma, projector
 from anyonbraid.gates import cz_gate, hadamard_gate, phase_gate, swap_gate
 from anyonbraid.matrix import DenseMatrix
+from anyonbraid.pauli import PauliElement
 from anyonbraid.ring import BRAID_PHASE, CycScalar, I_UNIT
 
 ALL_FORM_CONTEXTS = [
@@ -274,3 +279,130 @@ def test_pair_exchange_is_i_cz_swap_for_all_adjacent_pairs():
             got = eval_word(ctx, word)
             want = (cz_gate(n, j, j + 1) @ swap_gate(n, j, j + 1)).mul_zeta(2)
             assert got == want
+
+
+# -- the gamma-matrix construction as the oracle for the letter rule --------
+
+EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def gamma_generator(ctx: RepContext, j: int, inverse: bool) -> DenseMatrix:
+    """R_j^(+-1) = ((1 +- i)/2)(I -+ gamma_j gamma_j+1) built from dense
+    gamma-matrix products, then projected and compressed per ctx."""
+    m = ctx.n_qubits + 1
+    gg = gamma(m, j) @ gamma(m, j + 1)
+    ident = DenseMatrix.identity(2 ** m)
+    if inverse:
+        mat = (ident + gg).scale(BRAID_PHASE.conjugate())
+    else:
+        mat = (ident - gg).scale(BRAID_PHASE)
+    if ctx.form == "unprojected":
+        return mat
+    mat = mat @ projector(m, ctx.parity)
+    if ctx.form == "projected":
+        return mat
+    return compress_matrix(mat, ctx.n_qubits, ctx.parity)
+
+
+def gamma_word(ctx: RepContext, word: BraidWord) -> DenseMatrix:
+    """The word as a left-to-right product of gamma-built generators."""
+    out = rep_identity(ctx)
+    for j, e in word.letters:
+        for _ in range(abs(e)):
+            out = out @ gamma_generator(ctx, j, e < 0)
+    return out
+
+
+@st.composite
+def contexts_and_words(draw, max_qubits=4):
+    n = draw(st.integers(1, max_qubits))
+    form = draw(st.sampled_from(("compressed", "projected", "unprojected")))
+    ctx = RepContext(n, 1 if form == "unprojected" else draw(st.sampled_from((1, -1))), form)
+    letters = draw(st.lists(st.tuples(st.integers(1, ctx.generator_count),
+                                      st.sampled_from((1, -1, 2, -3))), max_size=10))
+    return ctx, BraidWord(tuple(letters))
+
+
+@pytest.mark.parametrize("ctx", ALL_FORM_CONTEXTS + [
+    RepContext(4, parity, form) for form in ("compressed", "projected")
+    for parity in (1, -1)] + [RepContext(4, form="unprojected")], ids=str)
+def test_generators_equal_gamma_construction(ctx):
+    for j in range(1, ctx.generator_count + 1):
+        for inverse, got in ((False, braid_generator(ctx, j)),
+                             (True, braid_generator_inverse(ctx, j))):
+            want = gamma_generator(ctx, j, inverse)
+            assert (got.k, got.planes.tobytes()) == (want.k, want.planes.tobytes())
+
+
+@EXACT
+@given(contexts_and_words())
+def test_eval_word_equals_gamma_products(case):
+    ctx, word = case
+    got, want = eval_word(ctx, word), gamma_word(ctx, word)
+    assert got == want and got.k == want.k
+
+
+@pytest.mark.parametrize("ctx", [RepContext(5, 1), RepContext(5, -1, "projected"),
+                                 RepContext(5, form="unprojected"), RepContext(6, -1)],
+                         ids=str)
+def test_eval_word_equals_gamma_products_large(ctx):
+    m = ctx.generator_count
+    word = BraidWord(((m, 1), (1, -1), (m - 1, 2), (3, 1), (m, -1), (2, 1), (m - 1, -1)))
+    assert eval_word(ctx, word) == gamma_word(ctx, word)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_exchange_table_is_i_times_square(n, parity):
+    """In compressed form G_j = i R_j^2, i times the Pauli square_formulas states."""
+    ctx = RepContext(n, parity)
+    for j, pel in square_formulas(ctx):
+        perm, ipow = exchange_table(ctx, j)
+        want = PauliElement(pel.m + 1, pel.v).to_matrix()
+        assert want == DenseMatrix.from_entries(
+            [[I_UNIT.mul_zeta(2 * int(ipow[r]) - 2) if c == perm[r] else 0
+              for c in range(ctx.dim)] for r in range(ctx.dim)])
+
+
+def test_gamma_pauli_strings_match_gamma_matrices():
+    for m in (1, 2, 3):
+        for j in range(1, 2 * m + 1):
+            assert _gamma_pauli(m, j).to_matrix() == gamma(m, j)
+
+
+def test_letter_rule_overflow_raises():
+    ctx = RepContext(1)
+    def scaled_identity(c):
+        return DenseMatrix(DenseMatrix.identity(2).planes * c, 0)
+
+    for inverse in (False, True):
+        with pytest.raises(ValueError, match="overflow"):
+            _apply_letter(_letter_rows(ctx, 1, inverse), scaled_identity(1 << 60))
+    ok = _apply_letter(_letter_rows(ctx, 1, False), scaled_identity(1 << 59))
+    assert ok == braid_generator(ctx, 1).scale(1 << 59)
+
+
+# -- BraidWord text and JSON round trips --------------------------------------
+
+letter_lists = st.lists(st.tuples(st.integers(1, 12),
+                                  st.integers(-4, 4).filter(bool)), max_size=12)
+
+
+@EXACT
+@given(letter_lists)
+def test_word_json_round_trip(letters):
+    w = BraidWord(tuple(letters))
+    assert BraidWord.from_json(json.loads(json.dumps(w.to_json()))) == w
+
+
+@EXACT
+@given(letter_lists)
+def test_word_text_round_trip(letters):
+    w = BraidWord(tuple(letters))
+    text = w.to_text()
+    back = BraidWord.from_text(text)
+    assert back.to_text() == text and len(back) == len(w)
+    assert all(abs(e) == 1 for _, e in back.letters)
+    if all(abs(e) == 1 for _, e in letters):
+        assert back == w

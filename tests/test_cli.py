@@ -192,9 +192,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "reach", "--n", "2", "--target", f"file:{f}")
     assert (code, out) == (2, "")
     assert err == "error: target dimension does not match the context\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv, message in ((["frobnicate"], "error: argument command: invalid choice"),
+                          (["gen-matrix", "--n", "1"],
+                           "error: one of the arguments --generator --gate is required"),
+                          (["gen-matrix", "--n", "1", "--generator", "1", "--gate", "phase"],
+                           "error: argument --gate: not allowed with argument --generator")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message), argv
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -270,14 +277,19 @@ def test_console_entrypoint_subprocess():
 
 
 def test_certificates_survive_optimize_flag():
-    """The library holds no assert statement, which python -O would strip;
-    its re-verifications raise instead, and -O output equals the golden."""
+    """The library holds no assert statement, which python -O would strip,
+    and raises no AssertionError; its re-verifications raise RuntimeError
+    instead, and -O output equals the golden."""
     import ast
 
     import anyonbraid
     for path in Path(anyonbraid.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+        raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                  for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+        assert not any(isinstance(e, ast.Name) and e.id == "AssertionError"
+                       for e in raised), path.name
     for argv, name in ((["clifford-check", "--n", "3", "--word", "1 2 -4 7 5"],
                         "clifford_check_n3_word.json"),
                        (["reach", "--n", "3", "--target", "swap:1,3"], "reach_n3_swap13.json")):

@@ -282,3 +282,22 @@ def test_chain_orders_match_closed_forms(n):
     assert StabiliserChain(braids, 2 * n).order() == factorial(2 * n + 2)
     swap = clifford_check(swap_gate(n, 1, 2)).s
     assert StabiliserChain(braids + [swap], 2 * n).order() == sp_order(n, 2)
+
+
+@st.composite
+def word_pairs(draw, max_qubits=4):
+    n = draw(st.integers(1, max_qubits))
+    ctx = RepContext(n, draw(st.sampled_from((1, -1))))
+    words = [tuple(draw(st.lists(st.tuples(st.integers(1, ctx.generator_count),
+                                           st.sampled_from((1, -1, 2))), max_size=10)))
+             for _ in range(2)]
+    return ctx, words
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(word_pairs())
+def test_symplectic_image_is_a_homomorphism(case):
+    """S_UV = S_U S_V for braid words U, V, in both parity sectors."""
+    ctx, (a, b) = case
+    s_a, s_b, s_ab = (clifford_check(eval_word(ctx, w)).s for w in (a, b, a + b))
+    assert s_ab == s_a @ s_b

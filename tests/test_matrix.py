@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,24 @@ def test_equality_is_exact_and_hashable():
     assert a == b and hash(a) == hash(b) and a.key() == b.key()
     c = DenseMatrix.from_entries([[CycScalar(2, 0, 0, 0, 1), ZERO], [ZERO, ONE]])
     assert c == b  # 2/2 normalizes to 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 70])
+def test_normal_form_divides_out_powers_of_two(k):
+    """Entries over 2^k lose the common power of two (negative entries
+    included) down to k = 0 or an odd coefficient; a zero matrix gets k = 0."""
+    rng = random.Random(k)
+    odd = np.array([rng.choice((-3, -1, 1, 5)) for _ in range(16)], dtype=np.int64)
+    base = (odd * np.array([rng.choice((1, 2, 4)) for _ in range(16)])).reshape(4, 2, 2)
+    base[0, 0, 0] = -1
+    for shift in range(4):
+        m = DenseMatrix(base << shift, k)
+        keep = min(k, shift)
+        assert (m.k, m.planes.tolist()) == (k - keep, (base << (shift - keep)).tolist())
+        assert m == DenseMatrix.from_entries(
+            [[m.entry(i, j) for j in range(2)] for i in range(2)])
+    zero = DenseMatrix(np.zeros((4, 2, 2), dtype=np.int64), k)
+    assert zero.k == 0 and zero == DenseMatrix.zeros(2)
 
 
 def test_mul_zeta_rotation():

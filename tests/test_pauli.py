@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonbraid.braid import BraidWord, RepContext, eval_word
-from anyonbraid.gates import cz_gate, hadamard_gate, swap_gate
+from anyonbraid.gates import cnot_gate, cz_gate, hadamard_gate, swap_gate
 from anyonbraid.gf2 import BitMatrix
 from anyonbraid.matrix import DenseMatrix
-from anyonbraid.pauli import (PauliElement, pauli_basis_decompose, pauli_term,
-                              pauli_vector_matrix, star_product, symplectic_form,
-                              times_pauli)
+from anyonbraid.pauli import (PauliElement, pauli_basis_decompose, pauli_sparse,
+                              pauli_columns, pauli_term, pauli_vector_matrix, qubit_bits,
+                              read_term, star_product, symplectic_form)
 from anyonbraid.ring import ONE, ZETA, CycScalar
 from anyonbraid.symplectic import CliffordAction, NonClifford, clifford_check
 
@@ -174,7 +174,7 @@ def test_pauli_term_agrees_with_expansion(u):
     for g in range(2 * n):
         v = tuple(1 if b == g else 0 for b in range(2 * n))
         u_sigma = u @ pauli_vector_matrix(v)
-        assert times_pauli(u, v) == u_sigma
+        assert DenseMatrix(pauli_columns(u, [v])[0], u.k) == u_sigma
         w = u_sigma @ udag
         terms = pauli_basis_decompose(w)
         assert pauli_term(w) == (terms[0] if len(terms) == 1 else None)
@@ -215,3 +215,146 @@ def test_pauli_term_rejects_non_terms():
         assert len(pauli_basis_decompose(mat)) != 1
     with pytest.raises(ValueError):
         pauli_term(DenseMatrix.identity(3))
+
+
+def pauli_sparse_by_loop(v):
+    """The per-row loop that built the sparse Pauli tables: the oracle."""
+    n = len(v) // 2
+    perm, ipow = [], []
+    for r in range(2 ** n):
+        c, e = r, 0
+        for q in range(n):
+            b1, b2 = v[2 * q], v[2 * q + 1]
+            bit = (r >> (n - 1 - q)) & 1
+            if b1 and b2:        # i*sigma3: diag(i, -i)
+                e += 1 if bit == 0 else 3
+            elif b1:             # sigma1: flip
+                c ^= 1 << (n - 1 - q)
+            elif b2:             # sigma2: row 0 -> -i at col 1, row 1 -> i at col 0
+                e += 3 if bit == 0 else 1
+                c ^= 1 << (n - 1 - q)
+        perm.append(c)
+        ipow.append(e % 4)
+    return perm, ipow
+
+
+def test_pauli_sparse_matches_loop():
+    for n in (1, 2, 3):
+        for idx in range(4 ** n):
+            v = tuple((idx >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
+            perm, ipow = pauli_sparse(v)
+            assert (perm.tolist(), ipow.tolist()) == pauli_sparse_by_loop(v)
+
+
+def clifford_check_by_dense_products(u: DenseMatrix):
+    """The per-generator reader clifford_check replaced: W = (U sigma_g) U^dagger
+    as two dense products, read by pauli_term.  The oracle."""
+    if not u.is_unitary():
+        raise ValueError("input is not unitary")
+    n = u.dim.bit_length() - 1
+    udag = u.dagger()
+    cols, phases = [], []
+    for g in range(2 * n):
+        v = tuple(1 if b == g else 0 for b in range(2 * n))
+        w = u @ pauli_vector_matrix(v) @ udag
+        term = pauli_term(w)
+        if term is None:
+            return NonClifford(v, tuple((tv, c.to_list()) for tv, c in pauli_basis_decompose(w)))
+        tv, c = term
+        m = c.ipower()
+        if m is None:
+            return NonClifford(v, ((tv, c.to_list()),))
+        cols.append(tv)
+        phases.append(m)
+    s = BitMatrix(2 * n, tuple(
+        sum(cols[g][i] << g for g in range(2 * n)) for i in range(2 * n)
+    ))
+    return CliffordAction(s, tuple(phases))
+
+
+def failing_stage(u: DenseMatrix) -> str | None:
+    """The stage of clifford_check's reading at which the first generator
+    whose image is not an i-power Pauli fails, from the full W."""
+    n = u.dim.bit_length() - 1
+    for g in range(2 * n):
+        v = tuple(1 if b == g else 0 for b in range(2 * n))
+        w = u @ pauli_vector_matrix(v) @ u.dagger()
+        row0 = [x for x in range(w.dim) if not w.entry(0, x).is_zero()]
+        if len(row0) != 1:
+            return "row 0"
+        x = row0[0]
+        bits = qubit_bits(n)
+        term = read_term(w.planes[:, 0, x], w.planes[:, bits, bits ^ x], x)
+        if term is None:
+            return "z sign"
+        tv, c = term
+        m = CycScalar(*c, w.k).ipower()
+        if m is None:
+            return "i-power"
+        if w != pauli_vector_matrix(tv).mul_zeta(2 * m):
+            return "confirm"
+    return None
+
+
+def ccz_gate() -> DenseMatrix:
+    return DenseMatrix.from_entries([[(-1 if r == c == 7 else 1) if r == c else 0
+                                      for c in range(8)] for r in range(8)])
+
+
+def diagonal_gate(phases) -> DenseMatrix:
+    """diag(z^e) for the listed exponents."""
+    d = len(phases)
+    return DenseMatrix.from_entries([[ONE.mul_zeta(phases[r]) if r == c else 0
+                                      for c in range(d)] for r in range(d)])
+
+
+# U, and the stage at which its first offending generator fails
+STAGED_INPUTS = (
+    # H T: H T X T^dagger H = (Z - Y)/sqrt(2), two entries in row 0
+    (lambda: hadamard_gate(1, 1) @ t_gate(1, 1), "row 0"),
+    # T X T^dagger = [[0, z^-1], [z, 0]]: z is not +-z^-1
+    (lambda: t_gate(1, 1), "z sign"),
+    # C X1X2X3 C^dagger with C = diag(z^[popcount(r) <= 1]) is D X1X2X3,
+    # D = diag(z, z, z, z^-1, z, z^-1, z^-1, z^-1): the reading passes, c = z
+    (lambda: diagonal_gate([int(bin(r).count("1") <= 1) for r in range(8)])
+     @ cnot_gate(3, 1, 2) @ cnot_gate(3, 1, 3), "i-power"),
+    # H1 CCZ: X1 goes to Z1 CZ23, read as Z1 from rows 0, 4, 2, 1
+    (lambda: hadamard_gate(3, 1) @ ccz_gate(), "confirm"),
+)
+
+
+@pytest.mark.parametrize("make, stage", STAGED_INPUTS, ids=[s for _, s in STAGED_INPUTS])
+def test_clifford_check_fails_at_each_stage(make, stage):
+    u = make()
+    assert failing_stage(u) == stage
+    got = clifford_check(u)
+    assert isinstance(got, NonClifford)
+    assert got == clifford_check_by_dense_products(u)
+    assert got == clifford_check_by_expansion(u)
+
+
+@st.composite
+def mixed_unitaries(draw, max_qubits=3):
+    """Products of braid words with T, H and (at n = 3) CCZ factors."""
+    n = draw(st.integers(1, max_qubits))
+    ctx = RepContext(n, draw(st.sampled_from((1, -1))))
+    u = DenseMatrix.identity(2 ** n)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("word", "word", "t", "h", "ccz")))
+        if kind == "word":
+            letters = draw(st.lists(st.tuples(st.integers(1, ctx.generator_count),
+                                              st.sampled_from((1, -1))), max_size=8))
+            u = u @ eval_word(ctx, BraidWord(tuple(letters)))
+        elif kind == "t":
+            u = u @ t_gate(n, draw(st.integers(1, n)))
+        elif kind == "h":
+            u = u @ hadamard_gate(n, draw(st.integers(1, n)))
+        elif n == 3:
+            u = u @ ccz_gate()
+    return u
+
+
+@EXACT
+@given(st.one_of(braid_unitaries(), mixed_unitaries()))
+def test_clifford_check_matches_dense_product_reader(u):
+    assert clifford_check(u) == clifford_check_by_dense_products(u)
