@@ -27,8 +27,9 @@ each letter applies the letter rule
 where G_j X is a phased row permutation of X.  eval_word forms a word
 from the right, one gather of signed rows per letter, and the generators
 are the rule applied to the unit of the form.  G_j commutes with the
-parity projector, so the rule is the same in all three forms.  The dense
-gamma construction remains as the oracle in verify.py and the tests.
+parity projector, so the rule is the same in all three forms.  The BFS
+moves apply it on the right (expand_moves).  The dense gamma
+construction remains as the oracle in verify.py and the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gamma import _embedding, compress_matrix, gamma, projector
-from .matrix import DenseMatrix, _check_int64
+from .matrix import DenseMatrix, MatrixStack, _check_int64
 from .pauli import PauliElement, pauli_sparse, phased_row_index, signed_rows
 from .ring import I_UNIT
 
@@ -174,19 +175,50 @@ def exchange_table(ctx: RepContext, j: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, ipow
 
 
-@lru_cache(maxsize=None)
-def _letter_rows(ctx: RepContext, j: int, inverse: bool) -> np.ndarray:
+def _rule_rows(perm: np.ndarray, ipow: np.ndarray, inverse: bool) -> np.ndarray:
     """Row indices (4 terms, 4 planes, d) into pauli.signed_rows(X) whose
-    sum over terms is 2 R_j X (or 2 R_j^(-1) X):
-    (1 + i)(X - G_j X) = X + i X - G_j X - i G_j X and
-    (1 - i)(X + G_j X) = X - i X + G_j X - i G_j X."""
-    perm, ipow = exchange_table(ctx, j)
+    sum over terms is (1 + i)(X - G X) = X + i X - G X - i G X, or
+    (1 - i)(X + G X) = X - i X + G X - i G X, for G = (perm, ipow)."""
     rows = np.arange(len(perm))
     idx = np.stack([phased_row_index(rows, 0), phased_row_index(rows, 3 if inverse else 1),
                     phased_row_index(perm, ipow + (0 if inverse else 2)),
                     phased_row_index(perm, ipow + 3)])
     idx.flags.writeable = False
     return idx
+
+
+@lru_cache(maxsize=None)
+def _letter_rows(ctx: RepContext, j: int, inverse: bool) -> np.ndarray:
+    """_rule_rows for G_j: their sum is 2 R_j X (or 2 R_j^(-1) X)."""
+    return _rule_rows(*exchange_table(ctx, j), inverse)
+
+
+@lru_cache(maxsize=None)
+def _move_columns(ctx: RepContext) -> np.ndarray:
+    """_rule_rows (M, 4, 4, d) into signed_rows(X^T) for the M moves R_1,
+    R_1^(-1), R_2, ...: their sums are 2 (X R)^T.  X R_j = ((1+i)/2)(X - X G_j)
+    and (X G_j)^T = G_j^T X^T, where G_j^T is the phased permutation
+    (perm, ipow[perm]) because perm is an involution."""
+    tables = [exchange_table(ctx, j) for j in range(1, ctx.generator_count + 1)]
+    idx = np.stack([_rule_rows(perm, ipow[perm], inverse)
+                    for perm, ipow in tables for inverse in (False, True)])
+    idx.flags.writeable = False
+    return idx
+
+
+def expand_moves(ctx: RepContext, stack: MatrixStack) -> MatrixStack:
+    """Row i * M + m is stack[i] @ (move m), the M moves in the order of
+    _move_columns, as one gather of signed columns; it equals
+    stack @ braid_generator(ctx, j) or its inverse row by row when each
+    row X has X = X P for the unit P of the form."""
+    idx = _move_columns(ctx)
+    _check_int64(4 * stack._maxabs())
+    rows = signed_rows(stack.planes.swapaxes(-1, -2))
+    out = np.take(rows, idx[:, 0], axis=1)
+    for t in range(1, 4):
+        out += np.take(rows, idx[:, t], axis=1)
+    return MatrixStack.normalized(out.swapaxes(-1, -2).reshape(-1, *stack.planes.shape[1:]),
+                                  np.repeat(stack.k + 1, len(idx)))
 
 
 def _apply_letter(idx: np.ndarray, out: DenseMatrix) -> DenseMatrix:

@@ -12,8 +12,8 @@ and one broadcast np.matmul forms the 16 partial products that ring.zfold
 folds.  `MatrixStack` holds many matrices of one dimension as stacked
 planes with a denominator exponent per matrix; its normal form,
 projective canonical form and keys agree row by row with DenseMatrix, so
-Dimino cosets, the center scan and the synthesis BFS each run one stacked
-product per block of `BLOCK_ROWS` matrices instead of one per element.
+Dimino cosets and the center scan run one stacked product, and the
+synthesis BFS one canonical form and key pass, per `BLOCK_ROWS` matrices.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ def _product(a: np.ndarray, b: np.ndarray, max_a: int, max_b: int) -> np.ndarray
     _check_int64(4 * a.shape[-1] * max_a * max_b)
     t = np.matmul(a[..., :, None, :, :], b[..., None, :, :, :])  # (..., p, q, i, j)
     return np.stack(zfold(np.moveaxis(t, (-4, -3), (0, 1))), axis=-3)
-
-
-def _key(dim: int, k: int, planes: np.ndarray) -> bytes:
-    """The byte key of a normal-form matrix: dim and k as 4-byte little-endian
-    integers, then the planes as native int64."""
-    return dim.to_bytes(4, "little") + k.to_bytes(4, "little") + planes.tobytes()
 
 
 def _rotate(planes: np.ndarray, e: int) -> np.ndarray:
@@ -124,10 +118,12 @@ class DenseMatrix:
                          int(p[2, i, j]), int(p[3, i, j]), self.k)
 
     def key(self) -> bytes:
-        """Canonical hashable form; equal matrices have equal keys."""
+        """Canonical hashable form; equal matrices have equal keys: dim and
+        k as 4-byte little-endian integers, then the planes as native int64."""
         k = self._key
         if k is None:
-            k = _key(self.dim, self.k, self.planes)
+            k = (self.dim.to_bytes(4, "little") + self.k.to_bytes(4, "little")
+                 + self.planes.tobytes())
             object.__setattr__(self, "_key", k)
         return k
 
@@ -307,13 +303,6 @@ class MatrixStack:
         return cls(np.concatenate([s.planes for s in stacks]),
                    np.concatenate([s.k for s in stacks]))
 
-    @classmethod
-    def interleave(cls, stacks) -> MatrixStack:
-        """Row i * len(stacks) + m is row i of stacks[m]."""
-        planes = np.stack([s.planes for s in stacks], axis=1)
-        return cls(planes.reshape(-1, *planes.shape[2:]),
-                   np.stack([s.k for s in stacks], axis=1).reshape(-1))
-
     def __len__(self) -> int:
         return len(self.k)
 
@@ -353,9 +342,12 @@ class MatrixStack:
         rows = np.arange(n)
         if not nonzero[rows, first].all():
             raise ValueError("zero matrix")
-        leads, which = np.unique(flat[rows, :, first], axis=0, return_inverse=True)
+        # distinct leads by their 32 bytes: a 1-D unique, cheaper than axis=0
+        leads = np.ascontiguousarray(flat[rows, :, first]).view(np.dtype((np.void, 32)))
+        leads, which = np.unique(leads.reshape(-1), return_inverse=True)
         # The phase of an entry does not depend on the shared denominator.
-        t = np.array([CycScalar(*map(int, c)).phase_class()[0] for c in leads])
+        t = np.array([CycScalar(*c).phase_class()[0]
+                      for c in leads.view(np.int64).reshape(-1, 4).tolist()])
         t = t[which.reshape(-1)]
         planes = np.empty_like(self.planes)
         for e in set(t.tolist()):
@@ -363,10 +355,14 @@ class MatrixStack:
             planes[sel] = _rotate(self.planes[sel], -e)
         return t, MatrixStack(planes, self.k)
 
-    def keys(self):
-        """Row-wise DenseMatrix.key(), made one row at a time."""
-        d = self.planes.shape[-1]
-        return (_key(d, k, row) for k, row in zip(self.k.tolist(), self.planes))
+    def keys(self) -> list[bytes]:
+        """Row-wise DenseMatrix.key(), cut from one buffer of the headers
+        (dim and k as 4-byte little-endian integers) and the planes."""
+        n, d = len(self), self.planes.shape[-1]
+        buf = np.empty((n, 2 + 8 * d * d), dtype="<u4")
+        buf[:, 0], buf[:, 1] = d, self.k
+        buf[:, 2:] = np.ascontiguousarray(self.planes).reshape(n, -1).view("<u4")
+        return buf.view(np.dtype((np.void, buf.itemsize * buf.shape[1]))).reshape(-1).tolist()
 
     def matrices(self) -> list[DenseMatrix]:
         """The rows as DenseMatrix objects, each built on its own key bytes."""

@@ -146,10 +146,10 @@ def _times_ipow(planes: np.ndarray, e) -> np.ndarray:
 
 
 def signed_rows(planes: np.ndarray) -> np.ndarray:
-    """The rows of (planes, -planes) as one (8d, d) array; phased_row_index
-    picks from it."""
+    """The rows of (planes, -planes) as one (..., 8d, d) array, keeping any
+    leading batch axes; phased_row_index picks from it."""
     d = planes.shape[-1]
-    return np.concatenate([planes, -planes]).reshape(8 * d, d)
+    return np.concatenate([planes, -planes], axis=-3).reshape(*planes.shape[:-3], 8 * d, d)
 
 
 def phased_row_index(perm: np.ndarray, ipow) -> np.ndarray:

@@ -4,8 +4,9 @@ certificates via the symplectic quotient.
 synthesize() is a breadth-first search over projective canonical keys
 (global phases stripped), so it returns words of minimal letter count;
 ties are broken toward the lexicographically smallest letter sequence in
-the alphabet order 1 < -1 < 2 < -2 < ...  Each level is computed as
-stacked products, one per move and block of states, and then visited in
+the alphabet order 1 < -1 < 2 < -2 < ...  A block of states takes every
+move by one gather of signed columns (braid.expand_moves), one projective
+canonical form and one key pass, no matrix product, and is visited in
 that (state, move) order.  reachability() never searches and never
 enumerates: braiding permutes Majorana modes (Ivanov's rule), so
 <S_1..S_2n+1> acts as a symmetric group on the Pauli vectors of the
@@ -25,8 +26,8 @@ from itertools import combinations
 from math import factorial
 from operator import xor
 
-from .braid import (BraidWord, RepContext, braid_generator, braid_generator_inverse,
-                    eval_word, phase_word, rep_identity, square_formulas)
+from .braid import (BraidWord, RepContext, eval_word, expand_moves, phase_word,
+                    rep_identity, square_formulas)
 from .gates import swap_gate
 from .gf2 import BitMatrix, StabiliserChain
 from .groups import EnumerationCapExceeded
@@ -77,14 +78,6 @@ class ReachResult:
         if self.detail is not None:
             out.update(self.detail)
         return out
-
-
-def _moves(ctx: RepContext):
-    out = []
-    for j in range(1, ctx.generator_count + 1):
-        out.append((j, braid_generator(ctx, j)))
-        out.append((-j, braid_generator_inverse(ctx, j)))
-    return out
 
 
 def _letters_to_word(letters) -> BraidWord:
@@ -201,10 +194,11 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
     target_key = target_canon.key()
     start = rep_identity(ctx)
     t0, start_canon = start.projective_canonical()
-    moves = _moves(ctx)
+    # the letters of the moves in the order expand_moves applies them
+    moves = [x for j in range(1, ctx.generator_count + 1) for x in (j, -j)]
     parents: dict = {start_canon.key(): None}
     frontier, paths = MatrixStack.of([start_canon]), [()]
-    # states per block, so that a block's products fill at most BLOCK_ROWS rows
+    # states per block, so that a block's moves fill at most BLOCK_ROWS rows
     states = max(1, BLOCK_ROWS // len(moves))
     depth = 0
 
@@ -227,11 +221,9 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
         depth += 1
         new, new_paths = [], []
         for first in range(0, len(frontier), states):
-            block = frontier[first:first + states]
             # row i * len(moves) + m is state i times move m: the order in
             # which the states of the level are visited
-            step = MatrixStack.interleave([(block @ g).projective_canonical()[1]
-                                           for _, g in moves])
+            step = expand_moves(ctx, frontier[first:first + states]).projective_canonical()[1]
             fresh = []
             for i, key in enumerate(step.keys()):
                 if key in parents:
@@ -239,7 +231,7 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
                 if len(parents) >= cap:
                     raise EnumerationCapExceeded(cap)
                 letters = paths[first + i // len(moves)]
-                letter = moves[i % len(moves)][0]
+                letter = moves[i % len(moves)]
                 parents[key] = (letters, letter)
                 seq = letters + (letter,)
                 if key == target_key:

@@ -245,6 +245,9 @@ GOLDEN_RUNS = (
     (["verify-relations", "--n", "3"], 0, "verify_relations_n3.json"),
     (["fusion", "--num-sigma", "8", "--parity", "-", "--labels"], 0,
      "fusion_8_minus_labels.json"),
+    # captured before the BFS expanded its states by the letter rule: the
+    # n = 3 block shape (d = 8, 14 moves)
+    (["synth", "--n", "3", "--target", "x:3", "--max-depth", "6"], 0, "synth_n3_x3.json"),
 )
 
 

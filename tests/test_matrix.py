@@ -215,3 +215,32 @@ def test_stacked_products_match_elementwise(data):
             assert t[i] == tw and got_canon[i] == cw and canon_keys[i] == cw.key()
     assert (stack @ g).matrices()[0] == naive_mul(mats[0], g)
     assert stack.premul(g).matrices()[0] == naive_mul(g, mats[0])
+
+
+def test_stack_keys_and_canonical_edge_cases():
+    """keys() and projective_canonical() on stacks agree with DenseMatrix row
+    by row: a zero row (k = 0), k = 300 (the key header's k spans two bytes)
+    and leading entries that differ only in sign or in plane."""
+    def single(lead, k=0):
+        planes = np.zeros((4, 2, 2), dtype=np.int64)
+        planes[:, 0, 1] = lead
+        planes[0, 1, 0] = 3
+        return DenseMatrix(planes, k)
+
+    leads = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+             (0, 0, 0, -1), (1, 1, 0, 0), (-1, -1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0)]
+    mats = [single(lead, k) for lead in leads for k in (0, 1)]
+    mats.append(single((5, -3, 0, 1), 300))
+    assert mats[-1].k == 300
+    zero = DenseMatrix.zeros(2)
+    stack = MatrixStack.of(mats + [zero])
+    assert stack.keys() == [m.key() for m in mats + [zero]]
+    assert stack.keys()[-2][4:8] == (300).to_bytes(4, "little")
+    assert [m.key() for m in stack.matrices()] == [m.key() for m in mats + [zero]]
+    with pytest.raises(ValueError, match="zero matrix"):
+        stack.projective_canonical()
+    t, canon = MatrixStack.of(mats).projective_canonical()
+    for m, tm, key, row in zip(mats, t, canon.keys(), canon.matrices()):
+        want_t, want = m.projective_canonical()
+        assert tm == want_t and key == want.key() and row == want
+    assert len(set(t.tolist())) > 4

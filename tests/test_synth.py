@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import anyonbraid.synth as synth
 from anyonbraid.braid import BraidWord, RepContext, eval_word
-from anyonbraid.gates import (cnot_gate, cz_gate, hadamard_gate, pauli_gate,
-                              phase_gate, swap_gate)
+from anyonbraid.gates import (cnot_gate, cz_gate, hadamard_gate, parse_gate_target,
+                              pauli_gate, phase_gate, swap_gate)
 from anyonbraid.gf2 import StabiliserChain
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.ring import CycScalar
@@ -60,6 +60,27 @@ def test_swap_synthesis():
     assert len(res.word) <= 8
     ev = eval_word(ctx, res.word)
     assert ev == swap_gate(2, 1, 2).mul_zeta(res.phase_power)
+
+
+def test_search_makes_no_matrix_product(monkeypatch):
+    """The BFS expands states by the letter rule: a depth-7 search makes
+    no more exact products than a depth-1 one (only the checks do)."""
+    import anyonbraid.matrix as matrix
+    calls = []
+    product = matrix._product
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(matrix, "_product", counted)
+    counts = {}
+    for spec, depth in (("p:1", 1), ("swap:1,2", 7)):
+        calls.clear()
+        res = synthesize(RepContext(2), parse_gate_target(2, spec))
+        assert res.depth == depth
+        counts[spec] = len(calls)
+    assert counts["swap:1,2"] <= counts["p:1"]
 
 
 def test_synthesize_validates_input():
