@@ -113,9 +113,12 @@ def cmd_orders(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.n >= 3 and not args.heavy:
+        orders = group_orders(args.n)
+        count = (orders.braid_image if args.mode == "strict"
+                 else orders.braid_image_mod_center)
         sys.stderr.write(
-            "error: enumerating the braid image for n >= 3 stores >10^7 exact matrices; "
-            "pass --heavy to confirm\n"
+            f"error: enumerating the {args.mode} braid image for n = {args.n} stores "
+            f"{count:,} exact matrices; pass --heavy to confirm\n"
         )
         return 2
     enum = braid_image(args.n, args.parity, args.mode)

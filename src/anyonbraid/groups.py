@@ -8,27 +8,40 @@ by the z-power that moves the first nonzero entry into the scalar
 fundamental domain), so two matrices collide iff they differ by a global
 z-power.
 
-For DenseMatrix groups each Dimino coset H*t is one stacked product per
-block of matrix.BLOCK_ROWS elements of H, and center() tests a block of
-elements against each generator at once, keeping only the survivors for
-the next generator.  When the group holds every single-qubit X and Z up
-to phase, as the braid images do, only its elements z^e sigma_v can be
-central, so center() tests those and no others.  Other element types
-(BitMatrix) take one product per element through the same Dimino loop;
-the library takes GF(2) group orders from gf2.StabiliserChain instead,
-and keeps that loop as the chain's test oracle.
+Dimino extends a subgroup H by whole cosets H*t, and H*t is disjoint from
+every stored element whenever t is not stored yet (Butler, Fundamental
+Algorithms for Permutation Groups, LNCS 559, 1991).  So the closure pushes
+each coset as blocks without a membership test per element, and checks
+only that the stored count grew by each block's length.
+
+A DenseMatrix group is enumerated over key bytes: its elements are stored
+only as DenseMatrix.key() bytes.  Each coset H*t is one stacked product
+per block of matrix.BLOCK_ROWS elements of H, stacked straight from the
+joined keys, and a block of products goes back as its keys; only the few
+products that find coset representatives build a matrix.
+GroupEnumeration.elements builds the matrices on first read, on the key
+bytes themselves; order, membership and the center read keys only.
+
+center() tests a block of candidates against each generator at once,
+keeping only the survivors for the next generator.  When the group holds
+every single-qubit X and Z up to phase, as the braid images do, only its
+elements z^e sigma_v can be central, so center() tests those and no
+others.  Other element types (BitMatrix) are their own keys and take one
+product per element through the same Dimino loop; the library takes
+GF(2) group orders from gf2.StabiliserChain instead, and keeps that loop
+as the chain's test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .braid import RepContext, braid_generator, eval_word, monodromy_word
-from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
+from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack, matrices_from_keys
 from .pauli import PauliElement, pauli_vector_matrix
 
 DEFAULT_CAP = 10 ** 8
@@ -48,20 +61,6 @@ def _projective_mul(a, b):
     return (a @ b).projective_canonical()[1]
 
 
-def _stacked_coset(prev, projective: bool):
-    """t -> the products e*t for e in prev, in order: one stacked product
-    per block of prev, with the elements built on their key bytes."""
-    blocks = [MatrixStack.of(prev[s:s + BLOCK_ROWS]) for s in range(0, len(prev), BLOCK_ROWS)]
-
-    def coset(t):
-        for block in blocks:
-            x = block @ t
-            if projective:
-                x = x.projective_canonical()[1]
-            yield from x.matrices()
-    return coset
-
-
 def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
            cosets=None) -> list:
     """All elements of the group generated by `generators`.
@@ -70,63 +69,118 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
     first generator into a cyclic group, then extend by whole cosets for
     each later generator.  Elements must be hashable with exact equality.
     `cosets(prev)`, if given, returns a function mapping t to the products
-    e*t for e in prev, in order; by default each is one `mul`.
+    e*t for e in prev, in order, as an iterable of blocks (lists); by
+    default the whole coset is one block of `mul` products.  A block is
+    pushed without a membership test, so one that holds a stored element
+    (or one element twice) raises RuntimeError.
     """
     gens = [g for g in generators if g != identity]
     elements = {identity: None}
-    order = [identity]
 
-    def push(x):
-        if x not in elements:
-            if len(elements) >= cap:
-                raise EnumerationCapExceeded(cap)
-            elements[x] = None
-            order.append(x)
+    def push(block):
+        if len(elements) + len(block) > cap:
+            raise EnumerationCapExceeded(cap)
+        size = len(elements)
+        elements.update(dict.fromkeys(block))
+        if len(elements) != size + len(block):
+            raise RuntimeError("a Dimino coset overlaps the stored elements")
 
     if not gens:
-        return order
+        return [identity]
 
     g = gens[0]
     x = g
     while x != identity:
-        push(x)
+        push([x])
         x = mul(x, g)
 
     for i in range(1, len(gens)):
         if gens[i] in elements:
             continue
-        # order[0] is the identity, whose product with t is t itself
-        prev = order[1:]
-        coset = cosets(prev) if cosets else (lambda t: (mul(e, t) for e in prev))
-        rep_queue = [gens[i]]
-        push(gens[i])
-        for x in coset(gens[i]):
-            push(x)
-        qi = 0
-        while qi < len(rep_queue):
-            rep = rep_queue[qi]
-            qi += 1
+        # the identity, stored first, maps t to t itself
+        prev = list(elements)[1:]
+        coset = cosets(prev) if cosets else (lambda t: ([mul(e, t) for e in prev],))
+        reps = []
+
+        def add_coset(t):
+            reps.append(t)
+            push([t])
+            for block in coset(t):
+                push(block)
+
+        add_coset(gens[i])
+        for rep in reps:  # grows while it is read
             for s in gens[: i + 1]:
                 t = mul(rep, s)
                 if t not in elements:
-                    rep_queue.append(t)
-                    push(t)
-                    for x in coset(t):
-                        push(x)
+                    add_coset(t)
         del prev, coset
-    return order
+    return list(elements)
 
 
-@dataclass(frozen=True)
+def _key_mul(projective: bool):
+    """Product of two matrices given and returned as keys."""
+    def mul(a, b):
+        x, y = matrices_from_keys([a, b])
+        xy = x @ y
+        return (xy.projective_canonical()[1] if projective else xy).key()
+    return mul
+
+
+def _key_cosets(projective: bool):
+    """The coset hook of dimino over keys: each block of BLOCK_ROWS elements
+    of prev times t is one stacked product, returned as its keys."""
+    def cosets(prev):
+        stack = MatrixStack.from_keys(prev)
+        blocks = [stack[s:s + BLOCK_ROWS] for s in range(0, len(stack), BLOCK_ROWS)]
+
+        def coset(t):
+            (tm,) = matrices_from_keys([t])
+            for block in blocks:
+                x = block @ tm
+                yield (x.projective_canonical()[1] if projective else x).keys()
+        return coset
+    return cosets
+
+
+def _key(x):
+    return x.key() if isinstance(x, DenseMatrix) else x
+
+
 class GroupEnumeration:
-    generators: tuple
-    mode: str                    # "strict" | "projective"
-    elements: tuple
-    keys: frozenset
+    """An enumerated group: its generators (canonical in projective mode),
+    its mode ("strict" or "projective"), its elements in enumeration order
+    and the frozenset `keys` of their keys (DenseMatrix.key(); other
+    elements are their own keys).  A group made by `from_keys` stores the
+    ordered keys only; `elements` is built on first read."""
+
+    __slots__ = ("generators", "mode", "keys", "_ordered", "_elements")
+
+    def __init__(self, generators, mode: str, elements, keys: frozenset):
+        self.generators = tuple(generators)
+        self.mode = mode
+        self.keys = keys
+        self._elements = tuple(elements)
+        self._ordered = [_key(x) for x in self._elements]
+
+    @classmethod
+    def from_keys(cls, generators, mode: str, ordered: list[bytes]) -> GroupEnumeration:
+        """The group of DenseMatrix elements with these keys, in this order."""
+        enum = cls.__new__(cls)
+        enum.generators, enum.mode = tuple(generators), mode
+        enum.keys = frozenset(ordered)
+        enum._ordered, enum._elements = ordered, None
+        return enum
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(matrices_from_keys(self._ordered))
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._ordered)
 
     def canonical(self, element):
         if self.mode == "projective":
@@ -134,8 +188,7 @@ class GroupEnumeration:
         return element
 
     def contains(self, element) -> bool:
-        x = self.canonical(element)
-        return (x.key() if isinstance(x, DenseMatrix) else x) in self.keys
+        return _key(self.canonical(element)) in self.keys
 
     def _stored_keys(self, m: DenseMatrix) -> list[bytes]:
         """Keys under which a z-power multiple of m would be stored."""
@@ -167,16 +220,17 @@ class GroupEnumeration:
         When the group holds a z-power multiple of every X_q and Z_q, a
         central element commutes (up to phase) with every Pauli and so is
         z^e sigma_v: only those elements are tested.  Otherwise every
-        element is.  Each block of candidates is tested against one
-        generator at a time, and only its survivors meet the next one."""
+        element is.  Each block of candidates is stacked from its keys and
+        tested against one generator at a time, and only its survivors
+        meet the next one."""
         gens = [self.canonical(g) for g in self.generators]
         paulis = self._pauli_keys()
-        candidates = (self.elements if paulis is None
-                      else [x for x in self.elements if x.key() in paulis])
+        candidates = (self._ordered if paulis is None
+                      else [k for k in self._ordered if k in paulis])
         out = []
         for start in range(0, len(candidates), BLOCK_ROWS):
             block = candidates[start:start + BLOCK_ROWS]
-            x, keep = MatrixStack.of(block), np.arange(len(block))
+            x, keep = MatrixStack.from_keys(block), np.arange(len(block))
             for g in gens:
                 a, b = x @ g, x.premul(g)
                 if self.mode == "projective":
@@ -186,7 +240,7 @@ class GroupEnumeration:
                 if not len(keep):
                     break
             out.extend(block[i] for i in keep.tolist())
-        return out
+        return matrices_from_keys(out)
 
     def summary(self) -> dict:
         return {
@@ -202,14 +256,16 @@ def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
     """Enumerate the matrix group generated by `generators`.
 
     Generators must be square, same-dimensional and unitary; projective
-    mode enumerates global-phase classes.
+    mode enumerates global-phase classes.  DenseMatrix groups are
+    enumerated over their keys.
     """
     if mode not in ("strict", "projective"):
         raise ValueError("mode must be strict or projective")
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    if isinstance(gens[0], DenseMatrix):
+    dense = isinstance(gens[0], DenseMatrix)
+    if dense:
         dim = gens[0].dim
         for g in gens:
             if g.dim != dim:
@@ -220,17 +276,16 @@ def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
             identity = DenseMatrix.identity(dim)
     elif identity is None:
         raise ValueError("identity required for non-DenseMatrix elements")
-    mul = _strict_mul
-    if mode == "projective":
-        mul = _projective_mul
+    projective = mode == "projective"
+    if projective:
         gens = [g.projective_canonical()[1] for g in gens]
         identity = identity.projective_canonical()[1]
-    cosets = None
-    if isinstance(identity, DenseMatrix):
-        cosets = partial(_stacked_coset, projective=mode == "projective")
-    elements = dimino(gens, identity, mul, cap, cosets)
-    keys = frozenset(e.key() if isinstance(e, DenseMatrix) else e for e in elements)
-    return GroupEnumeration(tuple(gens), mode, tuple(elements), keys)
+    if not dense:
+        elements = dimino(gens, identity, _projective_mul if projective else _strict_mul, cap)
+        return GroupEnumeration(gens, mode, elements, frozenset(elements))
+    ordered = dimino([g.key() for g in gens], identity.key(), _key_mul(projective), cap,
+                     _key_cosets(projective))
+    return GroupEnumeration.from_keys(gens, mode, ordered)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,9 @@ planes with a denominator exponent per matrix; its normal form,
 projective canonical form and keys agree row by row with DenseMatrix, so
 Dimino cosets and the center scan run one stacked product, and the
 synthesis BFS one canonical form and key pass, per `BLOCK_ROWS` matrices.
+A key is one record (dim and k as little-endian uint32, then the planes),
+so a stack is read straight from joined keys (`MatrixStack.from_keys`),
+and `matrices_from_keys` builds matrices on the key bytes themselves.
 """
 
 from __future__ import annotations
@@ -355,18 +358,39 @@ class MatrixStack:
             planes[sel] = _rotate(self.planes[sel], -e)
         return t, MatrixStack(planes, self.k)
 
+    @classmethod
+    def from_keys(cls, keys) -> MatrixStack:
+        """The stack of the matrices with these keys (at least one, all of
+        one dimension): a read-only view of their joined bytes."""
+        d = int.from_bytes(keys[0][:4], "little")
+        rows = np.frombuffer(b"".join(keys), dtype=_key_dtype(d))
+        return cls(rows["planes"], rows["k"].astype(np.int64))
+
     def keys(self) -> list[bytes]:
         """Row-wise DenseMatrix.key(), cut from one buffer of the headers
         (dim and k as 4-byte little-endian integers) and the planes."""
-        n, d = len(self), self.planes.shape[-1]
-        buf = np.empty((n, 2 + 8 * d * d), dtype="<u4")
-        buf[:, 0], buf[:, 1] = d, self.k
-        buf[:, 2:] = np.ascontiguousarray(self.planes).reshape(n, -1).view("<u4")
-        return buf.view(np.dtype((np.void, buf.itemsize * buf.shape[1]))).reshape(-1).tolist()
+        d = self.planes.shape[-1]
+        rows = np.empty(len(self), dtype=_key_dtype(d))
+        rows["dim"], rows["k"], rows["planes"] = d, self.k, self.planes
+        return rows.view(np.dtype((np.void, rows.itemsize))).tolist()
 
     def matrices(self) -> list[DenseMatrix]:
         """The rows as DenseMatrix objects, each built on its own key bytes."""
-        d = self.planes.shape[-1]
-        maxabs = np.abs(self.planes).reshape(len(self), -1).max(axis=1, initial=0)
-        return [DenseMatrix._from_key(key, d, k, m)
-                for key, k, m in zip(self.keys(), self.k.tolist(), maxabs.tolist())]
+        return matrices_from_keys(self.keys())
+
+
+def _key_dtype(d: int) -> np.dtype:
+    """One key as a record: the DenseMatrix.key() layout for dimension d."""
+    return np.dtype([("dim", "<u4"), ("k", "<u4"), ("planes", np.int64, (4, d, d))])
+
+
+def matrices_from_keys(keys) -> list[DenseMatrix]:
+    """The DenseMatrix of each key (all of one dimension), built on the key
+    bytes themselves, with its exact largest coefficient."""
+    if not keys:
+        return []
+    stack = MatrixStack.from_keys(keys)
+    d = stack.planes.shape[-1]
+    maxabs = np.abs(stack.planes).reshape(len(keys), -1).max(axis=1)
+    return [DenseMatrix._from_key(key, d, k, m)
+            for key, k, m in zip(keys, stack.k.tolist(), maxabs.tolist())]

@@ -196,7 +196,7 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
     t0, start_canon = start.projective_canonical()
     # the letters of the moves in the order expand_moves applies them
     moves = [x for j in range(1, ctx.generator_count + 1) for x in (j, -j)]
-    parents: dict = {start_canon.key(): None}
+    seen = {start_canon.key()}
     frontier, paths = MatrixStack.of([start_canon]), [()]
     # states per block, so that a block's moves fill at most BLOCK_ROWS rows
     states = max(1, BLOCK_ROWS // len(moves))
@@ -211,13 +211,13 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
         p = (t_ev - t_target) % 8
         if ev != target.mul_zeta(p):
             raise RuntimeError("synthesized word failed re-verification")
-        return SynthResult("realizable", word, p, len(parents), len(letters))
+        return SynthResult("realizable", word, p, len(seen), len(letters))
 
     if start_canon == target_canon:
         return finish(())
     while len(frontier):
         if max_depth is not None and depth >= max_depth:
-            return SynthResult("exhausted", None, None, len(parents), depth)
+            return SynthResult("exhausted", None, None, len(seen), depth)
         depth += 1
         new, new_paths = [], []
         for first in range(0, len(frontier), states):
@@ -226,21 +226,19 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
             step = expand_moves(ctx, frontier[first:first + states]).projective_canonical()[1]
             fresh = []
             for i, key in enumerate(step.keys()):
-                if key in parents:
+                if key in seen:
                     continue
-                if len(parents) >= cap:
+                if len(seen) >= cap:
                     raise EnumerationCapExceeded(cap)
-                letters = paths[first + i // len(moves)]
-                letter = moves[i % len(moves)]
-                parents[key] = (letters, letter)
-                seq = letters + (letter,)
+                seen.add(key)
+                seq = paths[first + i // len(moves)] + (moves[i % len(moves)],)
                 if key == target_key:
                     return finish(seq)
                 fresh.append(i)
                 new_paths.append(seq)
             new.append(step[fresh])
         frontier, paths = MatrixStack.concatenate(new), new_paths
-    return SynthResult("exhausted", None, None, len(parents), depth)
+    return SynthResult("exhausted", None, None, len(seen), depth)
 
 
 def _pauli_fixup_word(n: int, v) -> BraidWord:

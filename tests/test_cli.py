@@ -87,9 +87,16 @@ def test_enumerate(capsys):
 
 
 def test_enumerate_heavy_guard(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "--n", "3")
-    assert code == 2
-    assert "heavy" in err
+    # the refusal names the order of the requested image, from group_orders
+    for argv, count in ((["--n", "3"], "10,321,920"),
+                        (["--n", "3", "--mode", "projective"], "2,580,480"),
+                        (["--n", "4", "--parity", "-"], "3,715,891,200")):
+        code, out, err = run_cli(capsys, "enumerate", *argv)
+        mode = "projective" if "projective" in argv else "strict"
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: enumerating the {mode} braid image for n = {argv[1]} "
+                       f"stores {count} exact matrices; pass --heavy to confirm\n")
 
 
 def test_monodromy_check(capsys):

@@ -6,9 +6,10 @@ import pytest
 
 from anyonbraid.braid import RepContext, braid_generator, eval_word, phase_word
 from anyonbraid.gates import swap_gate
-from anyonbraid.groups import (EnumerationCapExceeded, GroupEnumeration, braid_image,
-                               dimino, enumerate_group, monodromy_equals_pauli,
-                               monodromy_image, pauli_group_matrices)
+from anyonbraid.groups import (EnumerationCapExceeded, GroupEnumeration, _key_cosets,
+                               _key_mul, braid_image, dimino, enumerate_group,
+                               monodromy_equals_pauli, monodromy_image,
+                               pauli_group_matrices)
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.ring import I_UNIT
 
@@ -121,6 +122,63 @@ def test_enumeration_cap():
         assert enumerate_group(gens, mode=mode, cap=order).order == order
         with pytest.raises(EnumerationCapExceeded):
             enumerate_group(gens, mode=mode, cap=order - 1)
+
+
+def test_dimino_rejects_a_coset_that_overlaps_stored_elements():
+    # blocks are pushed without a membership test; an element already
+    # stored, or one element twice in a block, must raise, not shrink the order
+    keys = [g.key() for g in b4_generators()]
+    ident = DenseMatrix.identity(2).key()
+    assert len(dimino(keys, ident, _key_mul(False), cosets=_key_cosets(False))) == 96
+
+    def stale(prev):
+        coset = _key_cosets(False)(prev)
+        return lambda t: [*coset(t), [prev[0]]]
+
+    def doubled(prev):
+        coset = _key_cosets(False)(prev)
+        return lambda t: [block + block[-1:] for block in coset(t)]
+
+    for hook in (stale, doubled):
+        with pytest.raises(RuntimeError, match="overlaps"):
+            dimino(keys, ident, _key_mul(False), cosets=hook)
+
+    # the default hook, one block of `mul` products, on BitMatrix elements:
+    # a wrong product that lands in the stored subgroup <g0>
+    from anyonbraid.gf2 import BitMatrix
+    from anyonbraid.symplectic import braid_symplectic
+    gens = [braid_symplectic(2, j) for j in range(1, 6)]
+    ident = BitMatrix.identity(4)
+    assert len(dimino(gens, ident)) == 720
+
+    def wrong_mul(a, b):
+        return a if (a, b) == (gens[0], gens[1]) else a @ b
+
+    with pytest.raises(RuntimeError, match="overlaps"):
+        dimino(gens, ident, wrong_mul)
+
+
+def test_elements_are_built_from_keys():
+    # the key-backed elements equal those of the per-element closure over
+    # DenseMatrix objects, in the same order, down to hash, entries and _maxabs
+    gens = b4_generators()
+    for mode, mul in (("strict", strict_mul), ("projective", projective_mul)):
+        enum = enumerate_group(gens, mode=mode)
+        eager = dimino(enum.generators, enum.canonical(DenseMatrix.identity(2)), mul)
+        elements = enum.elements
+        assert type(elements) is tuple and enum.elements is elements
+        assert len(elements) == enum.order == len(eager)
+        for x, y in zip(elements, eager):
+            assert x.key() == y.key() and hash(x) == hash(y) and x == y
+            assert [x.entry(i, j) for i in range(2) for j in range(2)] == \
+                [y.entry(i, j) for i in range(2) for j in range(2)]
+            assert x._maxabs == y._maxabs
+            assert enum.contains(x)
+    # _maxabs is exact, so the overflow guard still sees a large factor
+    big = DenseMatrix.from_entries([[1 << 60, 0], [0, 1]])
+    for x in braid_image(1, 1, "strict").elements:
+        with pytest.raises(ValueError, match="overflow"):
+            x @ big
 
 
 def test_non_invertible_generator_rejected():

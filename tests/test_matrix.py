@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonbraid.braid import BraidWord, RepContext, eval_word
-from anyonbraid.matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
+from anyonbraid.matrix import BLOCK_ROWS, DenseMatrix, MatrixStack, matrices_from_keys
 from anyonbraid.ring import BRAID_PHASE, INV_SQRT2, CycScalar, ONE, ZERO
 
 # reproducible examples, no example database left in the working tree
@@ -244,3 +244,23 @@ def test_stack_keys_and_canonical_edge_cases():
         want_t, want = m.projective_canonical()
         assert tm == want_t and key == want.key() and row == want
     assert len(set(t.tolist())) > 4
+
+
+def test_stacks_and_matrices_from_keys():
+    """MatrixStack.from_keys inverts keys(), and matrices_from_keys builds
+    each matrix on its own key bytes, with an exact _maxabs."""
+    rng = random.Random(17)
+    mats = [DenseMatrix.from_entries([[rand_scalar(rng, span=9, kmax=3) for _ in range(3)]
+                                      for _ in range(3)]) for _ in range(6)]
+    mats.append(DenseMatrix.zeros(3))
+    keys = [m.key() for m in mats]
+    stack = MatrixStack.from_keys(keys)
+    assert stack.keys() == keys
+    assert stack.rows_equal(MatrixStack.of(mats)).all()
+    built = matrices_from_keys(keys)
+    for m, key, b in zip(mats, keys, built):
+        assert b == m and hash(b) == hash(m) and b.key() is key
+        assert b.k == m.k and b._maxabs == m._maxabs
+        assert not b.planes.flags.writeable
+    assert built[-1]._maxabs == 0
+    assert matrices_from_keys([]) == []
