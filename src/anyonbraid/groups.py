@@ -62,8 +62,9 @@ def _projective_mul(a, b):
 
 
 def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
-           cosets=None) -> list:
-    """All elements of the group generated by `generators`.
+           cosets=None) -> dict:
+    """All elements of the group generated by `generators`, as the keys of
+    a dict (values None) in enumeration order.
 
     Inductive closure over an increasing chain of subgroups: close the
     first generator into a cyclic group, then extend by whole cosets for
@@ -86,7 +87,7 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
             raise RuntimeError("a Dimino coset overlaps the stored elements")
 
     if not gens:
-        return [identity]
+        return elements
 
     g = gens[0]
     x = g
@@ -115,7 +116,7 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
                 if t not in elements:
                     add_coset(t)
         del prev, coset
-    return list(elements)
+    return elements
 
 
 def _key_mul(projective: bool):
@@ -150,13 +151,13 @@ def _key(x):
 class GroupEnumeration:
     """An enumerated group: its generators (canonical in projective mode),
     its mode ("strict" or "projective"), its elements in enumeration order
-    and the frozenset `keys` of their keys (DenseMatrix.key(); other
+    and the set-like `keys` of their keys (DenseMatrix.key(); other
     elements are their own keys).  A group made by `from_keys` stores the
     ordered keys only; `elements` is built on first read."""
 
     __slots__ = ("generators", "mode", "keys", "_ordered", "_elements")
 
-    def __init__(self, generators, mode: str, elements, keys: frozenset):
+    def __init__(self, generators, mode: str, elements, keys):
         self.generators = tuple(generators)
         self.mode = mode
         self.keys = keys
@@ -164,12 +165,13 @@ class GroupEnumeration:
         self._ordered = [_key(x) for x in self._elements]
 
     @classmethod
-    def from_keys(cls, generators, mode: str, ordered: list[bytes]) -> GroupEnumeration:
-        """The group of DenseMatrix elements with these keys, in this order."""
+    def from_keys(cls, generators, mode: str, ordered: dict) -> GroupEnumeration:
+        """The group of DenseMatrix elements whose keys are the keys of the
+        dict `ordered`, in its order (as dimino returns them)."""
         enum = cls.__new__(cls)
         enum.generators, enum.mode = tuple(generators), mode
-        enum.keys = frozenset(ordered)
-        enum._ordered, enum._elements = ordered, None
+        enum.keys = ordered.keys()
+        enum._ordered, enum._elements = list(ordered), None
         return enum
 
     @property
@@ -282,7 +284,7 @@ def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
         identity = identity.projective_canonical()[1]
     if not dense:
         elements = dimino(gens, identity, _projective_mul if projective else _strict_mul, cap)
-        return GroupEnumeration(gens, mode, elements, frozenset(elements))
+        return GroupEnumeration(gens, mode, elements, elements.keys())
     ordered = dimino([g.key() for g in gens], identity.key(), _key_mul(projective), cap,
                      _key_cosets(projective))
     return GroupEnumeration.from_keys(gens, mode, ordered)

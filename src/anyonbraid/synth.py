@@ -1,20 +1,29 @@
 """Braid-word synthesis for Clifford targets and unreachability
 certificates via the symplectic quotient.
 
-synthesize() is a breadth-first search over projective canonical keys
-(global phases stripped), so it returns words of minimal letter count;
-ties are broken toward the lexicographically smallest letter sequence in
-the alphabet order 1 < -1 < 2 < -2 < ...  A block of states takes every
-move by one gather of signed columns (braid.expand_moves), one projective
-canonical form and one key pass, no matrix product, and is visited in
-that (state, move) order.  reachability() never searches and never
-enumerates: braiding permutes Majorana modes (Ivanov's rule), so
-<S_1..S_2n+1> acts as a symmetric group on the Pauli vectors of the
-Majorana pairs.  A target's symplectic image either sends some pair vector
-outside that set, which certifies it lies outside <S_j>, or permutes the
-set; the point permutation is then bubble-sorted into a word in the S_j
-whose product must equal the image exactly.  clifford_word_via_quotient()
-builds its words from the same permutation.
+Braiding permutes Majorana modes (Ivanov's rule): R_j sends gamma_j to
+gamma_(j+1) and gamma_(j+1) to -gamma_j.  So conjugation by an element of
+the braid image is a signed permutation of the 2n+2 modes, read exactly
+from the Pauli images of the bilinears G_a = gamma_a gamma_(a+1) and
+fixed up to the global flip; for n >= 2 it names the projective class.
+For n = 1, where gamma_1 gamma_2 and gamma_3 gamma_4 are one Pauli up to
+phase, the three Paulis take the part of the modes.
+
+synthesize() is a breadth-first search over those signed permutations, so
+it returns words of minimal letter count; ties are broken toward the
+lexicographically smallest letter sequence in the alphabet order
+1 < -1 < 2 < -2 < ...  A state is one byte per mode, a level is one
+gather of its states by the move tables, visited in (state, move) order,
+and one sort of their keys (one int64 each up to n = 3); no matrix enters
+the search, and the word found is re-verified by exact evaluation.
+
+reachability() never searches and never enumerates: <S_1..S_2n+1> acts
+as a symmetric group on the Pauli vectors of the Majorana pairs.  A target's symplectic image
+either sends some pair vector outside that set, which certifies it lies
+outside <S_j>, or permutes the set; the point permutation is then
+bubble-sorted into a word in the S_j whose product must equal the image
+exactly, and the target's signed permutation is reported with it.
+clifford_word_via_quotient() builds its words from the same permutation.
 """
 
 from __future__ import annotations
@@ -24,14 +33,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
-from operator import xor
 
-from .braid import (BraidWord, RepContext, eval_word, expand_moves, phase_word,
-                    rep_identity, square_formulas)
+import numpy as np
+
+from .braid import BraidWord, RepContext, eval_word, phase_word, square_formulas
 from .gates import swap_gate
 from .gf2 import BitMatrix, StabiliserChain
 from .groups import EnumerationCapExceeded
-from .matrix import BLOCK_ROWS, DenseMatrix, MatrixStack
+from .matrix import DenseMatrix
 from .pauli import pauli_term
 from .symplectic import (CliffordAction, NonClifford, braid_symplectic, clifford_check,
                          group_orders, sp_order, symmetric_degree)
@@ -84,31 +93,169 @@ def _letters_to_word(letters) -> BraidWord:
     return BraidWord(tuple((abs(x), 1 if x > 0 else -1) for x in letters))
 
 
+# bits 0, 2, 4, ... of a packed Pauli vector: the sigma1 slot of each qubit
+_EVEN = int("01" * 64, 2)
+
+
+def _pack(v) -> int:
+    """A Pauli vector as an int, v_i in bit i (as BitMatrix.mul_vec reads it)."""
+    return sum(bit << i for i, bit in enumerate(v))
+
+
+def _times(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """The product of Pauli elements i^m sigma_x held as (m, packed x), by
+    the rule of pauli.PauliElement: sigma_p sigma_q = (-1)^(p*q) sigma_(p^q)
+    with p*q = sum_i p_(2i) q_(2i-1)."""
+    (m, x), (k, y) = p, q
+    return (m + k + 2 * ((x >> 1) & y & _EVEN).bit_count()) % 4, x ^ y
+
+
+def _exchange_paulis(ctx: RepContext) -> dict[int, tuple[int, int]]:
+    """G_j = gamma_j gamma_(j+1) = i R_j^2 as (m, packed x): i times the
+    Pauli that square_formulas gives for R_j^2 (its sign follows the
+    parity)."""
+    return {j: ((p.m + 1) % 4, _pack(p.v)) for j, p in square_formulas(ctx)}
+
+
+@lru_cache(maxsize=None)
+def _bilinears(ctx: RepContext) -> dict[int, tuple[tuple[int, ...], int]]:
+    """The Majorana bilinears of ctx as exact Pauli elements i^m sigma_x:
+    packed x -> (the points the bilinear names, m).
+
+    For n >= 2 the pair (a, b) names gamma_a gamma_b = G_a ... G_(b-1).  For
+    n = 1 complementary pairs are one Pauli up to phase, so the points are
+    the three elements G_2, G_1 G_2 and G_1 themselves.
+    """
+    g = _exchange_paulis(ctx)
+    if ctx.n_qubits == 1:
+        items = [((1,), g[2]), ((2,), _times(g[1], g[2])), ((3,), g[1])]
+    else:
+        items = [((a, b), reduce(_times, (g[k] for k in range(a, b))))
+                 for a, b in combinations(range(1, ctx.strands + 1), 2)]
+    return {x: (points, m) for points, (m, x) in items}
+
+
 @lru_cache(maxsize=None)
 def _majorana_table(n: int) -> dict[int, tuple[int, ...]]:
     """The Pauli vectors on which <S_1..S_2n+1> acts as a symmetric group,
-    each keyed to the points it names; S_j swaps points j and j + 1.
+    each keyed to the points it names (the vectors of _bilinears); S_j
+    swaps points j and j + 1.
 
-    For n >= 2 the points are the 2n+2 Majorana modes, and x_ab = w_a + ...
-    + w_(b-1) names the pair (a, b) (w_j packs the Pauli that
-    square_formulas gives for R_j^2).  For n = 1 complementary pairs share a
-    vector and S_4 acts through S_3, so the points are the three nonzero
-    vectors w_2, w_1 + w_2, w_1 themselves.  Every printed S_j is checked to
-    permute the table, so an image that sends a vector outside it is
-    certified to lie outside <S_j>.
+    For n >= 2 the points are the 2n+2 Majorana modes and the vector of
+    gamma_a gamma_b names the pair (a, b).  For n = 1 S_4 acts through S_3
+    and the points are the three nonzero vectors.  Every printed S_j is
+    checked to permute the table, so an image that sends a vector outside
+    it is certified to lie outside <S_j>.
     """
-    w = {j: sum(bit << i for i, bit in enumerate(p.v))
-         for j, p in square_formulas(RepContext(n))}
-    if n == 1:
-        table = {w[2]: (1,), w[1] ^ w[2]: (2,), w[1]: (3,)}
-    else:
-        table = {reduce(xor, (w[k] for k in range(a, b))): (a, b)
-                 for a, b in combinations(range(1, 2 * n + 3), 2)}
+    table = {x: points for x, (points, _m) in _bilinears(RepContext(n)).items()}
     for j in range(1, 2 * n + 2):
         s = braid_symplectic(n, j)
         if any(s.mul_vec(x) not in table for x in table):
             raise RuntimeError(f"printed S_{j} does not permute the Majorana pair vectors")
     return table
+
+
+def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...]:
+    """The signed permutation of a conjugation map conj (a function of
+    Pauli elements held as (m, packed x)): entry a is +-b when
+    conj(gamma_a) = +-gamma_b.
+
+    For n >= 2 it is read from the images of the 2n+1 adjacent G_a, and
+    normalised so that mode 1 keeps its sign (conjugation fixes a signed
+    permutation only up to the global flip).  For n = 1 it is the signed
+    permutation of the three points of _bilinears, which conj fixes
+    exactly.  Raises RuntimeError when an image is not +- a table bilinear
+    or the images are not a signed permutation.
+    """
+    table = _bilinears(ctx)
+    points, signs = [], []
+    for x, (named, m) in table.items():
+        if len(named) == 2 and named[1] != named[0] + 1:
+            continue
+        k, y = conj((m, x))
+        hit = table.get(y)
+        if hit is None or (k - hit[1]) % 2:
+            raise RuntimeError("a Majorana bilinear maps outside +- the bilinears")
+        points.append(hit[0])
+        signs.append((k - hit[1]) % 4 // 2)
+    if ctx.n_qubits == 1:
+        perm = [p for (p,) in points]
+    else:
+        # mode a goes to the mode that the images of G_(a-1) and G_a share
+        pairs = [set(p) for p in points]
+        links = [pairs[0] - pairs[1], *(p & q for p, q in zip(pairs, pairs[1:])),
+                 pairs[-1] - pairs[-2]]
+        perm = [x.pop() if len(x) == 1 else 0 for x in links]
+        # gamma_a gamma_(a+1) -> s_a s_(a+1) gamma_perm(a) gamma_perm(a+1), and
+        # the bilinear of the sorted pair differs from that by the order
+        flips = [0]
+        for a, sign in enumerate(signs):
+            flips.append(flips[-1] ^ sign ^ (perm[a] > perm[a + 1]))
+        signs = flips
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise RuntimeError("the Majorana images are not a signed permutation")
+    return tuple(-b if s else b for b, s in zip(perm, signs))
+
+
+def _action_conjugator(act: CliffordAction):
+    """P -> U P U^dagger on Pauli elements (m, packed x), from U's
+    CliffordAction: sigma_x is the ordered product of the generator Paulis
+    sigma_(e_g) with bit g set, and U sigma_(e_g) U^dagger = i^f_g
+    sigma_(S e_g)."""
+    images = [(f, sum(((r >> g) & 1) << i for i, r in enumerate(act.s.rows)))
+              for g, f in enumerate(act.f)]
+
+    def conj(p: tuple[int, int]) -> tuple[int, int]:
+        m, x = p
+        return reduce(_times, (image for g, image in enumerate(images) if x >> g & 1), (m, 0))
+    return conj
+
+
+@lru_cache(maxsize=None)
+def _move_tables(ctx: RepContext) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, flip), each (M, K): the M moves R_1, R_1^(-1), R_2, ... as
+    signed permutations of the K points, read by _signed_majorana from the
+    letter rule on Pauli elements.  R_j P R_j^dagger is P when P commutes
+    with G_j and P G_j otherwise; for R_j^(-1) it is -P G_j.  For n >= 2
+    each move must follow Ivanov's rule up to the global flip: R_j sends
+    gamma_j to gamma_(j+1) and gamma_(j+1) to -gamma_j, R_j^(-1) the
+    reverse, and every other mode is fixed."""
+    g = _exchange_paulis(ctx)
+    rows = []
+    for j in range(1, ctx.generator_count + 1):
+        for inverse in (False, True):
+            def conj(p, gj=g[j], twist=2 * inverse):
+                pg = _times(p, gj)
+                if pg == _times(gj, p):
+                    return p
+                return (pg[0] + twist) % 4, pg[1]
+            signed = _signed_majorana(ctx, conj)
+            ivanov = list(range(1, ctx.strands + 1))
+            ivanov[j - 1:j + 1] = (-(j + 1), j) if inverse else (j + 1, -j)
+            if ctx.n_qubits >= 2 and signed not in (tuple(ivanov), tuple(-b for b in ivanov)):
+                raise RuntimeError(f"R_{j}{'^-1' if inverse else ''} does not exchange "
+                                   f"modes {j} and {j + 1} with one sign flip")
+            rows.append(signed)
+    codes = _codes(rows)
+    return (codes >> 1).astype(np.intp), codes & 1
+
+
+def _codes(signed) -> np.ndarray:
+    """Signed permutations (rows of +-b) as uint8 codes 2(b - 1) + (1 if
+    negative): a BFS state is one row of codes."""
+    signed = np.array(signed, dtype=np.int64)
+    return (2 * (np.abs(signed) - 1) + (signed < 0)).astype(np.uint8)
+
+
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """One sortable key per row of codes: the row's bytes, zero-padded to
+    a multiple of 8, as one int64 when they fit (n <= 3) and as one void
+    scalar otherwise."""
+    rows, k = codes.shape
+    width = -(-k // 8) * 8
+    padded = np.zeros((rows, width), dtype=np.uint8)
+    padded[:, :k] = codes
+    return padded.view(np.int64 if width == 8 else np.dtype((np.void, width)))[:, 0]
 
 
 def _majorana_letters(n: int, s: BitMatrix) -> tuple[list[int] | None, list[list[int]]]:
@@ -153,7 +300,8 @@ def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
     the symplectic map (Pauli gates and i-powers) is entirely reachable.
     An obstruction lists the Majorana pairs whose vectors the image sends
     outside the pair set; a reachable image was rebuilt exactly from the
-    S_j."""
+    S_j, and "majorana" gives the target's signed permutation
+    (_signed_majorana: entry a is +-b when gamma_a goes to +-gamma_b)."""
     if not ctx.compressed:
         raise ValueError("reachability runs on the compressed representation")
     if target.dim != ctx.dim:
@@ -167,17 +315,19 @@ def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
     if escapes:
         return ReachResult("obstruction", act.s, order,
                            {"escapes": escapes, "sp_order": sp_order(n, 2)})
-    return ReachResult("reachable", act.s, order)
+    signed = _signed_majorana(ctx, _action_conjugator(act))
+    return ReachResult("reachable", act.s, order, {"majorana": list(signed)})
 
 
 def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = None,
                cap: int = 10 ** 7, allow_heavy: bool = False) -> SynthResult:
-    """BFS for a shortest braid word whose evaluation equals the target up
-    to a z-power (re-verified exactly before returning)."""
+    """BFS over signed Majorana permutations for a shortest braid word
+    whose evaluation equals the target up to a z-power (re-verified
+    exactly before returning).  The target's permutation comes from
+    reachability(), whose Clifford check also rejects a non-unitary
+    target."""
     if target.dim != ctx.dim:
         raise ValueError("target dimension does not match the context")
-    if not target.is_unitary():
-        raise ValueError("target is not unitary")
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     if cap < 1:
@@ -190,54 +340,58 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
             "full-image BFS for n >= 3 is heavy; pass max_depth or allow_heavy=True"
         )
 
-    t_target, target_canon = target.projective_canonical()
-    target_key = target_canon.key()
-    start = rep_identity(ctx)
-    t0, start_canon = start.projective_canonical()
-    # the letters of the moves in the order expand_moves applies them
+    perm, flip = _move_tables(ctx)
+    # the letters of the moves in the order of the move tables
     moves = [x for j in range(1, ctx.generator_count + 1) for x in (j, -j)]
-    seen = {start_canon.key()}
-    frontier, paths = MatrixStack.of([start_canon]), [()]
-    # states per block, so that a block's moves fill at most BLOCK_ROWS rows
-    states = max(1, BLOCK_ROWS // len(moves))
+    target_key = _keys(_codes([reach.detail["majorana"]]))[0]
+    frontier = _codes([range(1, perm.shape[1] + 1)])
+    seen = _keys(frontier)               # sorted
+    levels = []                          # (parent, move) of each state, per depth
     depth = 0
 
-    def finish(letters) -> SynthResult:
+    def finish(letters, explored: int) -> SynthResult:
         word = _letters_to_word(letters)
         ev = eval_word(ctx, word)
         t_ev, ev_canon = ev.projective_canonical()
+        t_target, target_canon = target.projective_canonical()
         if ev_canon != target_canon:
             raise RuntimeError("synthesized word failed projective re-verification")
         p = (t_ev - t_target) % 8
         if ev != target.mul_zeta(p):
             raise RuntimeError("synthesized word failed re-verification")
-        return SynthResult("realizable", word, p, len(seen), len(letters))
+        return SynthResult("realizable", word, p, explored, len(letters))
 
-    if start_canon == target_canon:
-        return finish(())
+    if seen[0] == target_key:
+        return finish((), 1)
     while len(frontier):
         if max_depth is not None and depth >= max_depth:
             return SynthResult("exhausted", None, None, len(seen), depth)
         depth += 1
-        new, new_paths = [], []
-        for first in range(0, len(frontier), states):
-            # row i * len(moves) + m is state i times move m: the order in
-            # which the states of the level are visited
-            step = expand_moves(ctx, frontier[first:first + states]).projective_canonical()[1]
-            fresh = []
-            for i, key in enumerate(step.keys()):
-                if key in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise EnumerationCapExceeded(cap)
-                seen.add(key)
-                seq = paths[first + i // len(moves)] + (moves[i % len(moves)],)
-                if key == target_key:
-                    return finish(seq)
-                fresh.append(i)
-                new_paths.append(seq)
-            new.append(step[fresh])
-        frontier, paths = MatrixStack.concatenate(new), new_paths
+        # row i * len(moves) + m is state i times move m: the order in
+        # which the states of the level are visited
+        step = (frontier[:, perm] ^ flip).reshape(-1, perm.shape[1])
+        if ctx.n_qubits >= 2:
+            step ^= step[:, :1] & 1
+        keys = _keys(step)
+        uniq, first = np.unique(keys, return_index=True)
+        pos = np.searchsorted(seen, uniq)
+        new = seen[np.minimum(pos, len(seen) - 1)] != uniq
+        fresh = np.sort(first[new])
+        hit = np.flatnonzero(keys[fresh] == target_key)
+        room = cap - len(seen)
+        if len(fresh) > room and not (len(hit) and hit[0] < room):
+            raise EnumerationCapExceeded(cap)
+        if len(hit):
+            i = int(fresh[hit[0]])
+            letters = [moves[i % len(moves)]]
+            i //= len(moves)
+            for parent, move in reversed(levels):
+                letters.append(moves[move[i]])
+                i = parent[i]
+            return finish(letters[::-1], len(seen) + int(hit[0]) + 1)
+        seen = np.insert(seen, pos[new], uniq[new])
+        levels.append((fresh // len(moves), fresh % len(moves)))
+        frontier = step[fresh]
     return SynthResult("exhausted", None, None, len(seen), depth)
 
 

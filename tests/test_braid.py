@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from anyonbraid.braid import (BraidWord, RepContext, _apply_letter, _gamma_pauli,
                               _letter_rows, braid_generator, braid_generator_inverse,
-                              cz_pair_word, eval_word, exchange_table, expand_moves, monodromy,
+                              cz_pair_word, eval_word, exchange_table, monodromy,
                               monodromy_closed_form, monodromy_word, named_gate,
                               phase_element, phase_word, rep_identity, square_formulas)
 from anyonbraid.gamma import SIGMA1, SIGMA3, compress_matrix, gamma, projector
@@ -383,33 +383,11 @@ def test_letter_rule_overflow_raises():
     assert ok == braid_generator(ctx, 1).scale(1 << 59)
 
 
-@pytest.mark.parametrize("ctx", ALL_FORM_CONTEXTS, ids=str)
-def test_expand_moves_equals_generator_products(ctx):
-    """Row i * M + m of the stacked expansion is stack[i] times move m, in
-    the alphabet order R_1, R_1^(-1), R_2, ...; rows have k > 0 and
-    negative coefficients, and in projected form X = X P for the projector P."""
-    rng = random.Random(str(ctx))
-    unit = rep_identity(ctx)
-    mats = [DenseMatrix.from_entries(
-                [[CycScalar(*(rng.randint(-5, 5) for _ in range(4)), k=rng.randint(0, 3))
-                  for _ in range(ctx.dim)] for _ in range(ctx.dim)]) @ unit
-            for _ in range(3)]
-    assert any(m.k > 0 for m in mats) and any((m.planes < 0).any() for m in mats)
-    moves = [g(ctx, j) for j in range(1, ctx.generator_count + 1)
-             for g in (braid_generator, braid_generator_inverse)]
-    got = expand_moves(ctx, MatrixStack.of(mats))
-    assert len(got) == len(mats) * len(moves)
-    want = [m @ g for m in mats for g in moves]
-    for row, key, w in zip(got.matrices(), got.keys(), want):
-        assert row.k == w.k and (row.planes == w.planes).all() and key == w.key()
-
-
-def test_expand_moves_overflow_raises():
+def test_stack_times_generator_overflow_raises():
     ctx = RepContext(1)
     big = MatrixStack.of([DenseMatrix(DenseMatrix.identity(2).planes << 61, 0)])
-    for overflowing in (lambda: expand_moves(ctx, big), lambda: big @ braid_generator(ctx, 1)):
-        with pytest.raises(ValueError, match="exact matrix coefficients would overflow int64"):
-            overflowing()
+    with pytest.raises(ValueError, match="exact matrix coefficients would overflow int64"):
+        big @ braid_generator(ctx, 1)
 
 
 # -- BraidWord text and JSON round trips --------------------------------------

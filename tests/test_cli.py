@@ -228,6 +228,7 @@ GOLDEN_RUNS = (
     # captured before clifford_check stopped expanding in the Pauli basis
     (["clifford-check", "--n", "3", "--word", "1 2 -4 7 5"], 0,
      "clifford_check_n3_word.json"),
+    # "majorana" added when reach began to name the signed permutation
     (["reach", "--n", "3", "--target", "swap:1,3"], 0, "reach_n3_swap13.json"),
     (["clifford-check", "--n", "2", "--target", f"file:{GOLDEN_DIR / 't_gate_n2.json'}"], 1,
      "clifford_check_n2_t_gate.json"),
@@ -302,7 +303,8 @@ def test_certificates_survive_optimize_flag():
                        for e in raised), path.name
     for argv, name in ((["clifford-check", "--n", "3", "--word", "1 2 -4 7 5"],
                         "clifford_check_n3_word.json"),
-                       (["reach", "--n", "3", "--target", "swap:1,3"], "reach_n3_swap13.json")):
+                       (["reach", "--n", "3", "--target", "swap:1,3"], "reach_n3_swap13.json"),
+                       (["synth", "--n", "2", "--target", "swap:1,2"], "synth_n2_swap12.json")):
         golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
         proc = subprocess.run([sys.executable, "-O", "-m", "anyonbraid.cli", *argv],
                               capture_output=True, text=True, timeout=120)

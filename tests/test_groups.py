@@ -84,7 +84,7 @@ def test_dimino_independent_of_generator_order():
     for perm in itertools.permutations(range(3)):
         e = enumerate_group([gens[i] for i in perm], mode="strict")
         orders.add(e.order)
-        keysets.add(e.keys)
+        keysets.add(frozenset(e.keys))
     assert orders == {96}
     assert len(keysets) == 1
 

@@ -2,21 +2,27 @@ import itertools
 import json
 import os
 import random
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anyonbraid.synth as synth
-from anyonbraid.braid import BraidWord, RepContext, eval_word
+from anyonbraid.braid import (BraidWord, RepContext, braid_generator, braid_generator_inverse,
+                              eval_word, rep_identity)
 from anyonbraid.gates import (cnot_gate, cz_gate, hadamard_gate, parse_gate_target,
                               pauli_gate, phase_gate, swap_gate)
 from anyonbraid.gf2 import StabiliserChain
-from anyonbraid.matrix import DenseMatrix
+from anyonbraid.groups import EnumerationCapExceeded
+from anyonbraid.matrix import DenseMatrix, MatrixStack
+from anyonbraid.pauli import PauliElement
 from anyonbraid.ring import CycScalar
-from anyonbraid.symplectic import braid_symplectic, clifford_check, symplectic_subgroup
+from anyonbraid.symplectic import (braid_symplectic, clifford_check, group_orders,
+                                   symplectic_subgroup)
 from anyonbraid.synth import (clifford_word_via_quotient, coverage_ratio,
                               exact_clifford_word, missing_gate_report,
                               reachability, synthesize)
@@ -341,3 +347,176 @@ def test_n4_embeddings_match_enumeration():
         res = reachability(ctx, target)
         assert res.verdict == ("reachable" if res.s_target in sub else "obstruction")
         assert res.subgroup_order == len(sub)
+
+
+# -- the BFS over signed Majorana permutations ----------------------------------
+
+README_TARGETS = ("swap:1,2", "cnot:1,2", "h:1", "x:1", "y:1", "h:2", "y:2", "cz:1,2",
+                  "x:2", "z:2", "p:1", "p:2")
+N2_LEVEL_SIZES = [1, 10, 61, 246, 675, 1246, 1655, 1778, 1688, 1456, 1136, 784, 464,
+                  224, 80, 16]
+
+
+@lru_cache(maxsize=None)
+def reference_bfs(ctx: RepContext, max_depth: int | None = None) -> dict[bytes, tuple]:
+    """Every projective class of the braid image within max_depth letters,
+    in breadth-first order from the identity, visiting (state, move) pairs
+    in the order R_1, R_1^(-1), R_2, ...: {projective_canonical key:
+    (visit index, letters)}.  Each level takes one stacked dense product
+    per move (test_braid checks the generators against the gamma
+    construction), independent of the signed permutations the library
+    searches."""
+    moves = [(j, e) for j in range(1, ctx.generator_count + 1) for e in (1, -1)]
+    gens = [(braid_generator if e > 0 else braid_generator_inverse)(ctx, j) for j, e in moves]
+    start = rep_identity(ctx).projective_canonical()[1]
+    found = {start.key(): (0, ())}
+    frontier, words = MatrixStack.of([start]), [()]
+    while len(frontier) and (max_depth is None or len(words[0]) < max_depth):
+        steps = MatrixStack.concatenate(
+            [(frontier @ g).projective_canonical()[1] for g in gens])
+        keys = steps.keys()
+        rows, next_words = [], []
+        for i, word in enumerate(words):
+            for m, letter in enumerate(moves):
+                row = m * len(words) + i
+                if keys[row] not in found:
+                    found[keys[row]] = (len(found), word + (letter,))
+                    rows.append(row)
+                    next_words.append(word + (letter,))
+        frontier, words = steps[np.array(rows, dtype=np.intp)], next_words
+    return found
+
+
+def assert_matches_reference(ctx, target, max_depth=None):
+    index, letters = reference_bfs(ctx, max_depth)[target.projective_canonical()[1].key()]
+    res = synthesize(ctx, target, max_depth=max_depth)
+    assert (res.verdict, res.word.letters, res.explored, res.depth) == \
+        ("realizable", letters, index + 1, len(letters))
+    assert eval_word(ctx, res.word) == target.mul_zeta(res.phase_power)
+    return res
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_bfs_matches_reference_on_every_n1_class(parity):
+    ctx = RepContext(1, parity)
+    classes = reference_bfs(ctx)
+    assert len(classes) == 24
+    for index, letters in classes.values():
+        # a z-power multiple of the class's first word, so phase_power varies
+        target = eval_word(ctx, BraidWord(letters)).mul_zeta(index % 8)
+        res = assert_matches_reference(ctx, target)
+        assert res.phase_power == -index % 8
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_bfs_matches_reference_at_n2(parity):
+    ctx = RepContext(2, parity)
+    rng = random.Random(parity)
+    targets = [parse_gate_target(2, spec) for spec in README_TARGETS]
+    targets += [eval_word(ctx, BraidWord(tuple((rng.randint(1, 5), rng.choice((1, -1)))
+                                               for _ in range(rng.randint(1, 12)))))
+                for _ in range(6)]
+    # classes at every depth, the last one visited included
+    ordered = sorted(reference_bfs(ctx).values())
+    targets += [eval_word(ctx, BraidWord(letters))
+                for _, letters in ordered[::1009] + ordered[-1:]]
+    for target in targets:
+        assert_matches_reference(ctx, target)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bfs_matches_reference_within_two_letters(n):
+    # n = 4 and 5 take the keys wider than one int64
+    ctx = RepContext(n, -1 if n == 4 else 1)
+    rng = random.Random(n)
+    for _ in range(4):
+        word = BraidWord(tuple((rng.randint(1, ctx.generator_count), rng.choice((1, -1)))
+                               for _ in range(2)))
+        assert_matches_reference(ctx, eval_word(ctx, word), max_depth=2)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_n2_search_reaches_every_class_once(parity):
+    # the signed keys biject with the projective image: the search visits
+    # 11,520 classes, level by level as the dense reference does
+    ctx = RepContext(2, parity)
+    classes = reference_bfs(ctx)
+    assert len(classes) == group_orders(2).braid_image_mod_center == sum(N2_LEVEL_SIZES)
+    depths = [len(letters) for _, letters in classes.values()]
+    assert [depths.count(d) for d in range(len(N2_LEVEL_SIZES))] == N2_LEVEL_SIZES
+    _, last = max(classes.values())
+    target = eval_word(ctx, BraidWord(last))
+    res = synthesize(ctx, target)
+    assert (res.explored, res.depth) == (sum(N2_LEVEL_SIZES), len(N2_LEVEL_SIZES) - 1)
+    for depth in range(len(N2_LEVEL_SIZES) - 1):
+        res = synthesize(ctx, target, max_depth=depth)
+        assert (res.verdict, res.explored) == ("exhausted", sum(N2_LEVEL_SIZES[:depth + 1]))
+
+
+def _apply_moves(ctx, letters):
+    """The code row of a word, composed from the move tables letter by letter."""
+    perm, flip = synth._move_tables(ctx)
+    state = synth._codes([range(1, perm.shape[1] + 1)])
+    for j, e in letters:
+        m = 2 * (j - 1) + (e < 0)
+        for _ in range(abs(e)):
+            state = state[:, perm[m]] ^ flip[m]
+            if ctx.n_qubits >= 2:
+                state ^= state[:, :1] & 1
+    return state
+
+
+@EXACT
+@given(braid_words((1, 2, 3, 4, 5)))
+def test_signed_permutation_is_a_homomorphism(data):
+    # the permutation read from eval_word(w) is the move tables composed
+    # along w, and reach reports it for the word's matrix
+    ctx, word = data
+    target = eval_word(ctx, word)
+    read = synth._signed_majorana(ctx, synth._action_conjugator(clifford_check(target)))
+    assert (synth._codes([read]) == _apply_moves(ctx, word.letters)).all()
+    assert reachability(ctx, target).detail == {"majorana": list(read)}
+
+
+@EXACT
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)),
+    min_size=2, max_size=2)))
+def test_packed_pauli_product_matches_pauli_element(pair):
+    (m, v), (k, w) = pair
+    want = PauliElement(m, tuple(v)) * PauliElement(k, tuple(w))
+    assert synth._times((m, synth._pack(v)), (k, synth._pack(w))) == \
+        (want.m, synth._pack(want.v))
+
+
+def test_reader_rejects_non_permutations():
+    ctx = RepContext(2)
+    g = synth._exchange_paulis(ctx)
+    for conj, message in ((lambda p: (0, 0), "outside"),                # the identity
+                          (lambda p: ((p[0] + 1) % 4, p[1]), "outside"),  # i times
+                          (lambda p: g[1], "not a signed permutation")):
+        with pytest.raises(RuntimeError, match=message):
+            synth._signed_majorana(ctx, conj)
+    ctx1 = RepContext(1)
+    point = synth._exchange_paulis(ctx1)[1]
+    with pytest.raises(RuntimeError, match="not a signed permutation"):
+        synth._signed_majorana(ctx1, lambda p: point)
+
+
+def test_move_tables_reject_a_wrong_exchange(monkeypatch):
+    ctx = RepContext(2)
+    monkeypatch.setattr(synth, "_signed_majorana", lambda ctx, conj: tuple(range(1, 7)))
+    synth._move_tables.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="does not exchange modes 1 and 2"):
+            synth._move_tables(ctx)
+    finally:
+        synth._move_tables.cache_clear()
+
+
+def test_cap_boundary():
+    # swap:1,2 is found as the 3,938th state: a cap of 3,938 suffices
+    ctx = RepContext(2)
+    assert synthesize(ctx, swap_gate(2, 1, 2), cap=3938).explored == 3938
+    with pytest.raises(EnumerationCapExceeded):
+        synthesize(ctx, swap_gate(2, 1, 2), cap=3937)
