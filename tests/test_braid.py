@@ -383,6 +383,28 @@ def test_letter_rule_overflow_raises():
     assert ok == braid_generator(ctx, 1).scale(1 << 59)
 
 
+@pytest.mark.parametrize("ctx", ALL_FORM_CONTEXTS, ids=str)
+def test_stacked_moves_equal_generator_products(ctx):
+    """One BFS level as the dense search forms it: the stacks times each
+    move R_1, R_1^(-1), R_2, ..., concatenated, so that row m * len(stack)
+    + i is stack[i] times move m; rows have k > 0 and negative
+    coefficients, and in projected form X = X P for the projector P."""
+    rng = random.Random(str(ctx))
+    unit = rep_identity(ctx)
+    mats = [DenseMatrix.from_entries(
+                [[CycScalar(*(rng.randint(-5, 5) for _ in range(4)), k=rng.randint(0, 3))
+                  for _ in range(ctx.dim)] for _ in range(ctx.dim)]) @ unit
+            for _ in range(3)]
+    assert any(m.k > 0 for m in mats) and any((m.planes < 0).any() for m in mats)
+    moves = [g(ctx, j) for j in range(1, ctx.generator_count + 1)
+             for g in (braid_generator, braid_generator_inverse)]
+    got = MatrixStack.concatenate([MatrixStack.of(mats) @ g for g in moves])
+    assert len(got) == len(mats) * len(moves)
+    want = [m @ g for g in moves for m in mats]
+    for row, key, w in zip(got.matrices(), got.keys(), want):
+        assert row.k == w.k and (row.planes == w.planes).all() and key == w.key()
+
+
 def test_stack_times_generator_overflow_raises():
     ctx = RepContext(1)
     big = MatrixStack.of([DenseMatrix(DenseMatrix.identity(2).planes << 61, 0)])
