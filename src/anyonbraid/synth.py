@@ -7,7 +7,8 @@ the braid image is a signed permutation of the 2n+2 modes, read exactly
 from the Pauli images of the bilinears G_a = gamma_a gamma_(a+1) and
 fixed up to the global flip; for n >= 2 it names the projective class.
 For n = 1, where gamma_1 gamma_2 and gamma_3 gamma_4 are one Pauli up to
-phase, the three Paulis take the part of the modes.
+phase, the three Paulis take the part of the modes.  That reading is made
+once per target, and every route below starts from it.
 
 synthesize() is a breadth-first search over those signed permutations, so
 it returns words of minimal letter count; ties are broken toward the
@@ -17,13 +18,14 @@ gather of its states by the move tables, visited in (state, move) order,
 and one sort of their keys (one int64 each up to n = 3); no matrix enters
 the search, and the word found is re-verified by exact evaluation.
 
-reachability() never searches and never enumerates: <S_1..S_2n+1> acts
-as a symmetric group on the Pauli vectors of the Majorana pairs.  A target's symplectic image
-either sends some pair vector outside that set, which certifies it lies
-outside <S_j>, or permutes the set; the point permutation is then
-bubble-sorted into a word in the S_j whose product must equal the image
-exactly, and the target's signed permutation is reported with it.
-clifford_word_via_quotient() builds its words from the same permutation.
+reachability() never searches and never enumerates: a target whose
+bilinears all map to +- bilinears has a signed permutation, and its
+points, bubble-sorted into a word in the S_j, must rebuild the target's
+symplectic image exactly; a target that sends some pair vector outside
+the pair set is certified to lie outside <S_1..S_2n+1>, and those pairs
+are listed.  clifford_word_via_quotient() is a signed sort: the same
+bubble sort spells the points in R_j letters, and R_j^2 letters, which
+flip modes j and j+1, clear the signs that differ from the target's.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .gates import swap_gate
 from .gf2 import BitMatrix, StabiliserChain
 from .groups import EnumerationCapExceeded
 from .matrix import DenseMatrix
-from .pauli import pauli_term
 from .symplectic import (CliffordAction, NonClifford, braid_symplectic, clifford_check,
                          group_orders, sp_order, symmetric_degree)
 
-HEAVY_BFS_QUBITS = 3  # full-image BFS beyond this needs an explicit opt-in
+HEAVY_BFS_QUBITS = 4  # full-image BFS from this n on needs an explicit opt-in
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,9 @@ def _bilinears(ctx: RepContext) -> dict[int, tuple[tuple[int, ...], int]]:
 
     For n >= 2 the pair (a, b) names gamma_a gamma_b = G_a ... G_(b-1).  For
     n = 1 complementary pairs are one Pauli up to phase, so the points are
-    the three elements G_2, G_1 G_2 and G_1 themselves.
+    the three elements G_2, G_1 G_2 and G_1 themselves.  Every printed S_j
+    is checked to permute the vectors, so an image that sends one outside
+    them is certified to lie outside <S_j>.
     """
     g = _exchange_paulis(ctx)
     if ctx.n_qubits == 1:
@@ -132,40 +135,26 @@ def _bilinears(ctx: RepContext) -> dict[int, tuple[tuple[int, ...], int]]:
     else:
         items = [((a, b), reduce(_times, (g[k] for k in range(a, b))))
                  for a, b in combinations(range(1, ctx.strands + 1), 2)]
-    return {x: (points, m) for points, (m, x) in items}
-
-
-@lru_cache(maxsize=None)
-def _majorana_table(n: int) -> dict[int, tuple[int, ...]]:
-    """The Pauli vectors on which <S_1..S_2n+1> acts as a symmetric group,
-    each keyed to the points it names (the vectors of _bilinears); S_j
-    swaps points j and j + 1.
-
-    For n >= 2 the points are the 2n+2 Majorana modes and the vector of
-    gamma_a gamma_b names the pair (a, b).  For n = 1 S_4 acts through S_3
-    and the points are the three nonzero vectors.  Every printed S_j is
-    checked to permute the table, so an image that sends a vector outside
-    it is certified to lie outside <S_j>.
-    """
-    table = {x: points for x, (points, _m) in _bilinears(RepContext(n)).items()}
-    for j in range(1, 2 * n + 2):
-        s = braid_symplectic(n, j)
+    table = {x: (points, m) for points, (m, x) in items}
+    for j in range(1, ctx.generator_count + 1):
+        s = braid_symplectic(ctx.n_qubits, j)
         if any(s.mul_vec(x) not in table for x in table):
             raise RuntimeError(f"printed S_{j} does not permute the Majorana pair vectors")
     return table
 
 
-def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...]:
+def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...] | None:
     """The signed permutation of a conjugation map conj (a function of
     Pauli elements held as (m, packed x)): entry a is +-b when
-    conj(gamma_a) = +-gamma_b.
+    conj(gamma_a) = +-gamma_b, or None when conj sends a bilinear's vector
+    outside the bilinears' (no signed permutation: an obstruction).
 
     For n >= 2 it is read from the images of the 2n+1 adjacent G_a, and
     normalised so that mode 1 keeps its sign (conjugation fixes a signed
     permutation only up to the global flip).  For n = 1 it is the signed
     permutation of the three points of _bilinears, which conj fixes
-    exactly.  Raises RuntimeError when an image is not +- a table bilinear
-    or the images are not a signed permutation.
+    exactly.  Raises RuntimeError when an image is i times a bilinear or
+    the images are not a signed permutation.
     """
     table = _bilinears(ctx)
     points, signs = [], []
@@ -174,7 +163,9 @@ def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...]:
             continue
         k, y = conj((m, x))
         hit = table.get(y)
-        if hit is None or (k - hit[1]) % 2:
+        if hit is None:
+            return None
+        if (k - hit[1]) % 2:
             raise RuntimeError("a Majorana bilinear maps outside +- the bilinears")
         points.append(hit[0])
         signs.append((k - hit[1]) % 4 // 2)
@@ -258,50 +249,44 @@ def _keys(codes: np.ndarray) -> np.ndarray:
     return padded.view(np.int64 if width == 8 else np.dtype((np.void, width)))[:, 0]
 
 
-def _majorana_letters(n: int, s: BitMatrix) -> tuple[list[int] | None, list[list[int]]]:
-    """(letters, []) with S_letters[0] @ ... @ S_letters[-1] == s exactly,
-    or (None, escapes) when s sends table vectors outside the table; escapes
-    lists the points those vectors name, which certifies s is outside <S_j>.
-
-    Each point's image is the one point common to the images of all the
-    table vectors that name it.  Bubble sort undoes that permutation one
-    adjacent swap at a time, and the swaps read backwards spell it.
-    """
-    table = _majorana_table(n)
-    images = {x: s.mul_vec(x) for x in table}
-    escapes = [list(table[x]) for x, y in images.items() if y not in table]
-    if escapes:
-        return None, escapes
-    perm = []
-    for a in range(1, symmetric_degree(n) + 1):
-        common = set.intersection(*(set(table[y]) for x, y in images.items()
-                                    if a in table[x]))
-        if len(common) != 1:
-            raise RuntimeError("symplectic image permutes the pair vectors but no point")
-        perm.extend(common)
+def _sort_letters(signed) -> list[int]:
+    """R_j letters (equally S_j letters) whose word moves the points as the
+    signed permutation does, signs aside.  Bubble sort undoes the point
+    permutation one adjacent swap at a time, and the swaps read backwards
+    spell it."""
+    perm = [abs(b) for b in signed]
     swaps = []
     for end in range(len(perm) - 1, 0, -1):
         for j in range(1, end + 1):
             if perm[j - 1] > perm[j]:
                 perm[j - 1], perm[j] = perm[j], perm[j - 1]
                 swaps.append(j)
-    letters = swaps[::-1]
-    product = BitMatrix.identity(2 * n)
-    for j in letters:
-        product = product @ braid_symplectic(n, j)
-    if product != s:
-        raise RuntimeError("Majorana permutation word does not reproduce the symplectic image")
-    return letters, []
+    return swaps[::-1]
+
+
+def _phase_power(ctx: RepContext, word: BraidWord, target: DenseMatrix) -> int:
+    """p with eval(word) = z^p * target, re-verified exactly (projective
+    canonical forms first); RuntimeError when the word misses the target."""
+    ev = eval_word(ctx, word)
+    t_ev, ev_canon = ev.projective_canonical()
+    t_target, target_canon = target.projective_canonical()
+    if ev_canon != target_canon:
+        raise RuntimeError("synthesized word failed projective re-verification")
+    p = (t_ev - t_target) % 8
+    if ev != target.mul_zeta(p):
+        raise RuntimeError("synthesized word failed re-verification")
+    return p
 
 
 def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
     """Certificate-level reachability: a Clifford target is braid-reachable
     iff its symplectic image lies in <S_1..S_2n+1>, because the kernel of
     the symplectic map (Pauli gates and i-powers) is entirely reachable.
-    An obstruction lists the Majorana pairs whose vectors the image sends
-    outside the pair set; a reachable image was rebuilt exactly from the
-    S_j, and "majorana" gives the target's signed permutation
-    (_signed_majorana: entry a is +-b when gamma_a goes to +-gamma_b)."""
+    The target's signed permutation (_signed_majorana: entry a is +-b when
+    gamma_a goes to +-gamma_b) is read once.  When it exists, the S_j word
+    of its points must rebuild the image exactly, and "majorana" reports
+    it; otherwise the obstruction lists the Majorana pairs whose vectors
+    the image sends outside the pair set."""
     if not ctx.compressed:
         raise ValueError("reachability runs on the compressed representation")
     if target.dim != ctx.dim:
@@ -311,11 +296,18 @@ def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
         return ReachResult("not_clifford", None, None, act.to_json_dict())
     n = ctx.n_qubits
     order = factorial(symmetric_degree(n))
-    _letters, escapes = _majorana_letters(n, act.s)
-    if escapes:
+    signed = _signed_majorana(ctx, _action_conjugator(act))
+    if signed is None:
+        table = _bilinears(ctx)
+        escapes = [list(points) for x, (points, _m) in table.items()
+                   if act.s.mul_vec(x) not in table]
         return ReachResult("obstruction", act.s, order,
                            {"escapes": escapes, "sp_order": sp_order(n, 2)})
-    signed = _signed_majorana(ctx, _action_conjugator(act))
+    spelled = BitMatrix.identity(2 * n)
+    for j in _sort_letters(signed):
+        spelled = spelled @ braid_symplectic(n, j)
+    if spelled != act.s:
+        raise RuntimeError("Majorana permutation word does not reproduce the symplectic image")
     return ReachResult("reachable", act.s, order, {"majorana": list(signed)})
 
 
@@ -336,9 +328,8 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
     if reach.verdict != "reachable":
         return SynthResult("unrealizable", None, None, 0, 0, reach.to_json_dict())
     if ctx.n_qubits >= HEAVY_BFS_QUBITS and max_depth is None and not allow_heavy:
-        raise ValueError(
-            "full-image BFS for n >= 3 is heavy; pass max_depth or allow_heavy=True"
-        )
+        raise ValueError(f"full-image BFS for n >= {HEAVY_BFS_QUBITS} is heavy; "
+                         "pass max_depth or allow_heavy=True")
 
     perm, flip = _move_tables(ctx)
     # the letters of the moves in the order of the move tables
@@ -351,15 +342,8 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
 
     def finish(letters, explored: int) -> SynthResult:
         word = _letters_to_word(letters)
-        ev = eval_word(ctx, word)
-        t_ev, ev_canon = ev.projective_canonical()
-        t_target, target_canon = target.projective_canonical()
-        if ev_canon != target_canon:
-            raise RuntimeError("synthesized word failed projective re-verification")
-        p = (t_ev - t_target) % 8
-        if ev != target.mul_zeta(p):
-            raise RuntimeError("synthesized word failed re-verification")
-        return SynthResult("realizable", word, p, explored, len(letters))
+        return SynthResult("realizable", word, _phase_power(ctx, word, target), explored,
+                           len(letters))
 
     if seen[0] == target_key:
         return finish((), 1)
@@ -395,70 +379,41 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
     return SynthResult("exhausted", None, None, len(seen), depth)
 
 
-def _pauli_fixup_word(n: int, v) -> BraidWord:
-    """A braid word whose evaluation is sigma_v up to a global phase.
-
-    sigma3 on qubit q is (R_{2q-1})^2; sigma2 on qubit q is, up to phase,
-    (R_{2q})^2 (R_{2q+2})^2 ... (R_{2n})^2 (R_{2n+1})^2; sigma1 is sigma2
-    times sigma3 up to phase.
-    """
-    letters = []
-
-    def sigma3(q):
-        letters.append((2 * q - 1, 2))
-
-    def sigma2(q):
-        for r in range(2 * q, 2 * n + 2, 2):
-            letters.append((r, 2))
-        letters.append((2 * n + 1, 2))
-
-    for q in range(1, n + 1):
-        b1, b2 = v[2 * q - 2], v[2 * q - 1]
-        if b1 and b2:
-            sigma3(q)
-        elif b1:
-            sigma2(q)
-            sigma3(q)
-        elif b2:
-            sigma2(q)
-    return BraidWord(tuple(letters))
-
-
 def clifford_word_via_quotient(ctx: RepContext, target: DenseMatrix) -> tuple[BraidWord, int]:
-    """Constructive synthesis through the symplectic quotient.
+    """Constructive synthesis by a signed sort of the target's Majorana
+    permutation.
 
-    Spells the target's symplectic image as a word in the S_j from the
-    Majorana permutation it induces (a reduced word for that permutation),
-    then corrects the Pauli-group remainder with squares of generators.
-    Words are not length-minimal; the result satisfies
-    eval(word) = z^p * target exactly and (word, p) is returned.
+    The bubble sort of reachability() spells the points in R_j letters;
+    the word's own signed permutation, composed from the move tables, then
+    differs from the target's in an even number of signs (each R_j brings
+    one swap and one flip), and R_j^2 letters, which flip modes j and j+1,
+    clear them from the left.  Words are not length-minimal; the result
+    satisfies eval(word) = z^p * target exactly and (word, p) is returned.
     """
     if not ctx.compressed:
         raise ValueError("synthesis runs on the compressed representation")
-    act = clifford_check(target)
-    if isinstance(act, NonClifford):
+    reach = reachability(ctx, target)
+    if reach.verdict == "not_clifford":
         raise ValueError("target is not a Clifford gate")
-    n = ctx.n_qubits
-    letters, _escapes = _majorana_letters(n, act.s)
-    if letters is None:
+    if reach.verdict != "reachable":
         raise ValueError("target's symplectic image lies outside the braid image")
-    w1 = _letters_to_word(letters)
-    v_mat = eval_word(ctx, w1)
-    d = v_mat.dagger() @ target
-    term = pauli_term(d)
-    if term is None:
-        raise RuntimeError("quotient remainder is not a single Pauli")
-    v, _c = term
-    word = w1 + _pauli_fixup_word(n, v)
-    ev = eval_word(ctx, word)
-    t_ev, ev_canon = ev.projective_canonical()
-    t_target, target_canon = target.projective_canonical()
-    if ev_canon != target_canon:
-        raise RuntimeError("quotient synthesis failed projectively")
-    p = (t_ev - t_target) % 8
-    if ev != target.mul_zeta(p):
-        raise RuntimeError("quotient synthesis failed re-verification")
-    return word, p
+    letters = _sort_letters(reach.detail["majorana"])
+    perm, flip = _move_tables(ctx)
+    state = _codes([range(1, perm.shape[1] + 1)])[0]
+    for j in letters:
+        state = state[perm[2 * (j - 1)]] ^ flip[2 * (j - 1)]
+    # mode 1 has a plus sign in both rows (the read normalises it, and the
+    # sort only moves gamma_1's image up), so no global flip intervenes
+    differ = (state ^ _codes([reach.detail["majorana"]])[0]) & 1
+    fixes = []
+    for a in range(len(differ) - 1):
+        if differ[a]:
+            differ[a + 1] ^= 1
+            fixes.append((a + 1, 2))
+    if differ[-1]:
+        raise RuntimeError("the Majorana sign residual is odd")
+    word = BraidWord(tuple((j, 1) for j in letters) + tuple(fixes))
+    return word, _phase_power(ctx, word, target)
 
 
 def exact_clifford_word(ctx: RepContext, target: DenseMatrix) -> BraidWord:
@@ -518,19 +473,20 @@ def missing_gate_report(n: int, check_generation: bool = False) -> MissingGateRe
     |Sp_2n(2)|; no element list is stored, so n = 4..6 answer in seconds."""
     order = factorial(symmetric_degree(n))
     full = sp_order(n, 2)
-    obstructed, reachable = [], []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            act = clifford_check(swap_gate(n, a, b))
-            if not isinstance(act, CliffordAction):
-                raise RuntimeError(f"SWAP({a},{b}) is not Clifford")
-            _letters, escapes = _majorana_letters(n, act.s)
-            (obstructed if escapes else reachable).append((a, b))
+    ctx = RepContext(n)
+    obstructed, reachable = {}, []        # obstructed: (a, b) -> the SWAP's image
+    for a, b in combinations(range(1, n + 1), 2):
+        reach = reachability(ctx, swap_gate(n, a, b))
+        if reach.verdict == "not_clifford":
+            raise RuntimeError(f"SWAP({a},{b}) is not Clifford")
+        if reach.verdict == "obstruction":
+            obstructed[a, b] = reach.s_target
+        else:
+            reachable.append((a, b))
     generates = None
     if check_generation and obstructed:
-        a, b = obstructed[0]
-        act = clifford_check(swap_gate(n, a, b))
-        gens = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)] + [act.s]
+        gens = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)]
+        gens.append(next(iter(obstructed.values())))   # the first obstructed SWAP
         generates = StabiliserChain(gens, 2 * n).order() == full
     return MissingGateReport(
         n, order, full, full // order,

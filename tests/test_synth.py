@@ -3,7 +3,7 @@ import json
 import os
 import random
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -207,11 +207,27 @@ def test_missing_gate_report_generation():
 
 
 def test_heavy_bfs_requires_opt_in():
-    ctx = RepContext(3)
-    with pytest.raises(ValueError):
-        synthesize(ctx, swap_gate(3, 1, 3))
-    res = synthesize(ctx, swap_gate(3, 1, 3), max_depth=1)
+    # every SWAP embedding is obstructed at n = 4; a Pauli is reachable
+    ctx = RepContext(4)
+    with pytest.raises(ValueError, match="n >= 4 is heavy"):
+        synthesize(ctx, pauli_gate(4, 1, 1))
+    res = synthesize(ctx, pauli_gate(4, 1, 1), max_depth=1)
     assert res.verdict == "exhausted"
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_quotient_words_for_every_class_at_n1(parity):
+    # all 24 projective classes: the signed sort's word is exact up to z^p,
+    # and for even p the i*I correction makes it exactly equal
+    ctx = RepContext(1, parity)
+    classes = reference_bfs(ctx)
+    assert len(classes) == 24
+    for _index, letters in classes.values():
+        target = eval_word(ctx, BraidWord(letters))
+        word, p = clifford_word_via_quotient(ctx, target)
+        assert eval_word(ctx, word) == target.mul_zeta(p)
+        if p % 2 == 0:
+            assert eval_word(ctx, exact_clifford_word(ctx, target)) == target
 
 
 @st.composite
@@ -235,6 +251,16 @@ def test_braid_words_reachable_and_quotient_round_trips(data):
     assert reach.subgroup_order == factorial(3 if ctx.n_qubits == 1 else 2 * ctx.n_qubits + 2)
     quotient, p = clifford_word_via_quotient(ctx, target)
     assert eval_word(ctx, quotient) == target.mul_zeta(p)
+
+
+@EXACT
+@given(braid_words((1, 2, 3, 4, 5)))
+def test_quotient_word_length_bound(data):
+    # at most one letter per inversion of the points, and one R_j^2 per mode
+    ctx, word = data
+    n = ctx.n_qubits
+    quotient, _p = clifford_word_via_quotient(ctx, eval_word(ctx, word))
+    assert len(quotient) <= comb(2 * n + 2, 2) + 2 * (2 * n + 1)
 
 
 @EXACT
@@ -272,21 +298,36 @@ def test_verdicts_equal_enumerated_membership(data, picks):
     assert res.subgroup_order == len(sub)
 
 
-def test_majorana_table_has_one_vector_per_pair():
-    assert len(synth._majorana_table(1)) == 3
+def test_bilinears_have_one_vector_per_pair():
+    assert len(synth._bilinears(RepContext(1))) == 3
     for n in range(2, 9):
-        assert sorted(synth._majorana_table(n).values()) == \
+        assert sorted(points for points, _m in synth._bilinears(RepContext(n)).values()) == \
             list(itertools.combinations(range(1, 2 * n + 3), 2))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_every_subgroup_element_is_spelled_exactly(n):
-    # Sp_2(2) and Sp_4(2) are the whole braid image; each element gets a word
-    for s in symplectic_subgroup(n):
-        letters, escapes = synth._majorana_letters(n, s)
-        assert escapes == []
+    # Sp_2(2) and Sp_4(2) are the whole braid image; each element gets a word.
+    # A braid word per element (a BFS over the S_j) gives a target with that
+    # image, and the sort of the target's points spells the element exactly.
+    gens = [braid_symplectic(n, j) for j in range(1, 2 * n + 2)]
+    words = {gens[0].identity(2 * n): ()}
+    frontier = list(words)
+    while frontier:
+        grown = []
+        for s in frontier:
+            for j, g in enumerate(gens, 1):
+                if s @ g not in words:
+                    words[s @ g] = words[s] + ((j, 1),)
+                    grown.append(s @ g)
+        frontier = grown
+    assert set(words) == symplectic_subgroup(n)
+    ctx = RepContext(n)
+    for s, word in words.items():
+        reach = reachability(ctx, eval_word(ctx, word))
+        assert reach.s_target == s
         product = s.identity(2 * n)
-        for j in letters:
+        for j in synth._sort_letters(reach.detail["majorana"]):
             product = product @ braid_symplectic(n, j)
         assert product == s
 
@@ -304,13 +345,13 @@ def test_wrong_printed_generator_raises(monkeypatch, swap_in, message):
     def printed(n, j):
         return swap_in(n) if j == 4 else braid_symplectic(n, j)
 
-    synth._majorana_table.cache_clear()
+    synth._bilinears.cache_clear()
     monkeypatch.setattr(synth, "braid_symplectic", printed)
     try:
         with pytest.raises(RuntimeError, match=message):
             reachability(RepContext(3), swap_gate(3, 1, 3))
     finally:
-        synth._majorana_table.cache_clear()
+        synth._bilinears.cache_clear()
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -492,8 +533,10 @@ def test_packed_pauli_product_matches_pauli_element(pair):
 def test_reader_rejects_non_permutations():
     ctx = RepContext(2)
     g = synth._exchange_paulis(ctx)
-    for conj, message in ((lambda p: (0, 0), "outside"),                # the identity
-                          (lambda p: ((p[0] + 1) % 4, p[1]), "outside"),  # i times
+    # the identity sends every bilinear's vector outside the bilinears: no
+    # signed permutation, which reachability reports as an obstruction
+    assert synth._signed_majorana(ctx, lambda p: (0, 0)) is None
+    for conj, message in ((lambda p: ((p[0] + 1) % 4, p[1]), "outside"),  # i times
                           (lambda p: g[1], "not a signed permutation")):
         with pytest.raises(RuntimeError, match=message):
             synth._signed_majorana(ctx, conj)
