@@ -6,14 +6,18 @@ form so equality and hashing are exact.  An operation whose exact result
 could reach 2^62 in magnitude raises ValueError instead of wrapping
 around, so every result is exact.
 
-One product kernel, `_product`, serves single matrices and stacks: planes
-may carry leading batch axes, (..., 4, d, d) @ (4, d, d) or the reverse,
-and one broadcast np.matmul forms the 16 partial products that ring.zfold
-folds.  `MatrixStack` holds many matrices of one dimension as stacked
-planes with a denominator exponent per matrix; its normal form,
-projective canonical form and keys agree row by row with DenseMatrix, so
-Dimino cosets and the center scan run one stacked product, and the
-synthesis BFS one canonical form and key pass, per `BLOCK_ROWS` matrices.
+One product kernel, `_product`, serves single matrices and stacks: one
+factor may carry leading batch axes, (..., 4, m, d) @ (4, d, e) or the
+reverse.  The fixed factor is written as one (4d, 4e) block matrix whose
+signs come from ring.zfold, so the whole product is a single 2-D GEMM.
+It runs in float64 (BLAS) only when every partial sum is an integer
+below 2^53, where float64 is exact, and in int64 otherwise: floats carry
+exact integers there and never stand for a rounded value.
+
+`MatrixStack` holds many matrices of one dimension as stacked planes with
+a denominator exponent per matrix; its normal form, projective canonical
+form and keys agree row by row with DenseMatrix, so Dimino cosets and the
+center scan run one stacked product per `BLOCK_ROWS` matrices.
 A key is one record (dim and k as little-endian uint32, then the planes),
 so a stack is read straight from joined keys (`MatrixStack.from_keys`),
 and `matrices_from_keys` builds matrices on the key bytes themselves.
@@ -26,10 +30,19 @@ import numpy as np
 from .ring import CycScalar, zfold
 
 _INT64_SAFE = 1 << 62
+# float64 holds every integer below 2^53 exactly, so a product whose partial
+# sums all stay below it is exact in float64 (BLAS) arithmetic.
+_FLOAT_EXACT = 1 << 53
+
+# The sign table of ring.zfold read off one-hot partial products: the
+# coefficient of z^r in a_p * b_q is _ZTABLE[p, r, q] (one nonzero per p, r).
+_ZTABLE = np.stack(zfold(np.eye(16, dtype=np.int64).reshape(4, 4, 4, 4)), axis=1)
+_ZINDEX = np.abs(_ZTABLE).argmax(axis=2)
+_ZSIGN = _ZTABLE.sum(axis=2)[:, :, None, None]
 
 
 # Matrices per stacked product in the callers that sweep many elements; it
-# bounds the memory of one block's 16 partial products.
+# bounds the memory of one block's product.
 BLOCK_ROWS = 1024
 
 
@@ -39,13 +52,34 @@ def _check_int64(bound: int) -> None:
         raise ValueError("exact matrix coefficients would overflow int64")
 
 
+def _right_gemm(x: np.ndarray, f: np.ndarray, carrier) -> np.ndarray:
+    """Planes (..., 4, m, d) times the fixed planes f (4, d, e) as one 2-D
+    product: each row of x is [x_0 | x_1 | x_2 | x_3], and multiplying by
+    f in Z[z] is multiplying by the (4d, 4e) block matrix whose block
+    (p, r) is the signed plane of f that takes z^p to z^r."""
+    m, d, e = x.shape[-2], x.shape[-1], f.shape[-1]
+    block = (f[_ZINDEX] * _ZSIGN).transpose(0, 2, 1, 3)            # (p, d, r, e)
+    rows = x.swapaxes(-3, -2).astype(carrier, order="C").reshape(-1, 4 * d)
+    out = rows @ block.astype(carrier, order="C").reshape(4 * d, 4 * e)
+    return out.reshape(*x.shape[:-3], m, 4, e).swapaxes(-3, -2)
+
+
 def _product(a: np.ndarray, b: np.ndarray, max_a: int, max_b: int) -> np.ndarray:
-    """Planes of the exact product of planes a and b, either of which may
+    """Planes of the exact product of planes a and b, one of which may
     have leading batch axes; max_a, max_b bound their coefficients.  The
-    denominator exponents of the factors add; the result is not normalised."""
-    _check_int64(4 * a.shape[-1] * max_a * max_b)
-    t = np.matmul(a[..., :, None, :, :], b[..., None, :, :, :])  # (..., p, q, i, j)
-    return np.stack(zfold(np.moveaxis(t, (-4, -3), (0, 1))), axis=-3)
+    denominator exponents of the factors add; the result is not normalised.
+
+    Every partial sum is an integer of magnitude at most 4 d max_a max_b,
+    so the one GEMM runs in float64 when that bound (and each input) is
+    below 2^53, and in int64 otherwise; either way the result is exact."""
+    bound = 4 * a.shape[-1] * max_a * max_b
+    _check_int64(bound)
+    carrier = np.float64 if max(bound, max_a, max_b) < _FLOAT_EXACT else np.int64
+    if b.ndim == 3:
+        out = _right_gemm(a, b, carrier)
+    else:   # a fixed on the left: (a b)^T = b^T a^T, entries commute
+        out = _right_gemm(b.swapaxes(-1, -2), a.swapaxes(-1, -2), carrier).swapaxes(-1, -2)
+    return out.astype(np.int64, order="C")
 
 
 def _rotate(planes: np.ndarray, e: int) -> np.ndarray:

@@ -38,7 +38,8 @@ def zfold(t):
     products t[p][q] = a_p * b_q, folding z^4 = -1.
 
     t may hold ints or numpy arrays (one plane per pair p, q); every exact
-    product in the package goes through this one sign table.
+    product in the package takes its signs from this one table (the matrix
+    product kernel folds one-hot partial products through it once).
     """
     return (t[0][0] - t[1][3] - t[2][2] - t[3][1],
             t[0][1] + t[1][0] - t[2][3] - t[3][2],

@@ -421,15 +421,19 @@ def exact_clifford_word(ctx: RepContext, target: DenseMatrix) -> BraidWord:
 
     Only possible when some z-power class member of the target with phase
     1 lies in the strict image; the residual phase is always a power of i
-    for such targets and is cancelled with the i*I braid word.
+    for such targets and is cancelled with the i*I braid word, or with its
+    inverse when three copies would be needed.
     """
     word, p = clifford_word_via_quotient(ctx, target)
     if p % 2:
         raise ValueError("target differs from every braid image element "
                          "by an odd z-power; only phase-equivalence is possible")
     m = (-(p // 2)) % 4
-    for _ in range(m):
-        word = word + phase_word(ctx)
+    if m == 3:
+        word = word + phase_word(ctx).inverse()
+    else:
+        for _ in range(m):
+            word = word + phase_word(ctx)
     ev = eval_word(ctx, word)
     if ev != target:
         raise RuntimeError("phase correction failed")

@@ -310,3 +310,21 @@ def test_certificates_survive_optimize_flag():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, argv
         assert proc.stdout == golden, argv
+
+
+def test_library_uses_no_tolerance():
+    """Floats carry exact integers inside the product kernel only; no
+    comparison in the library may forgive a difference: no isclose or
+    allclose (assert_allclose included) and no atol= or rtol= argument
+    anywhere in the package."""
+    import ast
+
+    import anyonbraid
+    for path in Path(anyonbraid.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {getattr(node, field, None) or "" for node in nodes
+                 for field in ("id", "attr", "name")}
+        assert not [n for n in names if n.endswith(("isclose", "allclose"))], path.name
+        keywords = {kw.arg for node in nodes if isinstance(node, ast.Call)
+                    for kw in node.keywords}
+        assert not keywords & {"atol", "rtol"}, path.name

@@ -1,5 +1,6 @@
 import json
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonbraid.braid import BraidWord, RepContext, eval_word
-from anyonbraid.matrix import BLOCK_ROWS, DenseMatrix, MatrixStack, matrices_from_keys
+from anyonbraid.matrix import BLOCK_ROWS, DenseMatrix, MatrixStack, _product, matrices_from_keys
 from anyonbraid.ring import BRAID_PHASE, INV_SQRT2, CycScalar, ONE, ZERO
 
 # reproducible examples, no example database left in the working tree
@@ -66,6 +67,87 @@ def test_bigint_fallback_stays_exact():
     for overflowing in (lambda: stack @ a, lambda: stack.premul(a)):
         with pytest.raises(ValueError, match="overflow"):
             overflowing()
+
+
+# The operand shapes of the product kernel for inner dimension d: a single
+# product, a stack times a matrix, a matrix times a stack (premul) and the
+# (2n, 4, 1, d) row slice that clifford_check multiplies by U^dagger.
+KERNEL_SHAPES = {
+    "single": lambda d: ((4, d, d), (4, d, d)),
+    "stack": lambda d: ((3, 4, d, d), (4, d, d)),
+    "premul": lambda d: ((4, d, d), (3, 4, d, d)),
+    "row_slice": lambda d: ((2 * max(1, d.bit_length() - 1), 4, 1, d), (4, d, d)),
+}
+
+
+def scalar_product(a, b):
+    """The planes of a @ b entry by entry in CycScalar arithmetic (Python
+    ints, no bound), with the batch axis of either factor."""
+    batch = a.shape[:-3] or b.shape[:-3]
+    m, d, e = a.shape[-2], a.shape[-1], b.shape[-1]
+    out = np.zeros(batch + (4, m, e), dtype=object)
+    for idx in np.ndindex(batch):
+        x, y = a[idx] if a.ndim > 3 else a, b[idx] if b.ndim > 3 else b
+        for i in range(m):
+            for j in range(e):
+                s = sum((CycScalar(*map(int, x[:, i, k])) * CycScalar(*map(int, y[:, k, j]))
+                         for k in range(d)), ZERO)
+                out[idx + (slice(None), i, j)] = s.coeffs
+    return out
+
+
+def near_bound_operands(shape_a, shape_b, m):
+    """Operands with max |a| = max |b| = m whose plane-0 coefficients sum
+    all 4d partial products with one sign: c_0 = 4 d m^2, and 4 d m^2 - m
+    in row 0 (odd for odd m), next to the kernel's bound 4 d m^2."""
+    a = np.full(shape_a, m, dtype=np.int64)
+    a[..., 0, 0, 0] = m - 1
+    b = np.full(shape_b, -m, dtype=np.int64)
+    b[..., 0, :, :] = m
+    return a, b
+
+
+def odd_m(d, above):
+    """The largest odd m with 4 d m^2 < 2^53, or the smallest odd m with
+    4 d m^2 - m > 2^53."""
+    m = isqrt(((1 << 53) - 1) // (4 * d)) | 1
+    while 4 * d * m * m >= 1 << 53:
+        m -= 2
+    while above and 4 * d * m * m - m <= 1 << 53:
+        m += 2
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("kind", sorted(KERNEL_SHAPES))
+def test_product_kernel_is_exact(kind, d):
+    """_product equals CycScalar arithmetic entry by entry: on small random
+    planes, at the float64 route's bound (every partial sum below 2^53), past
+    it (odd coefficients above 2^53, which float64 cannot hold, so the
+    float route there would fail) and up to the int64 guard, which raises."""
+    shape_a, shape_b = KERNEL_SHAPES[kind](d)
+    rng = np.random.default_rng(d)
+    a, b = rng.integers(-3, 4, shape_a), rng.integers(-3, 4, shape_b)
+    assert _product(a, b, 3, 3).tolist() == scalar_product(a, b).tolist()
+    for above in (False, True):
+        m = odd_m(d, above)
+        a, b = near_bound_operands(shape_a, shape_b, m)
+        got, want = _product(a, b, m, m), scalar_product(a, b)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        top = 4 * d * m * m - m
+        assert (top < 1 << 53) != above and top in want
+        if above:
+            assert int(float(top)) != top
+    # random coefficients past 2^53, up to the int64 guard
+    m = isqrt(((1 << 62) - 1) // (4 * d))
+    a, b = rng.integers(-m, m + 1, shape_a), rng.integers(-m, m + 1, shape_b)
+    max_a, max_b = int(np.abs(a).max()), int(np.abs(b).max())
+    want = scalar_product(a, b)
+    assert _product(a, b, max_a, max_b).tolist() == want.tolist()
+    assert any(int(float(c)) != c for c in want.ravel())
+    a[(0,) * a.ndim] = m + 1
+    with pytest.raises(ValueError, match="overflow"):
+        _product(a, b, m + 1, m + 1)
 
 
 def test_add_sub_scale():

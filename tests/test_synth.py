@@ -176,6 +176,18 @@ def test_quotient_synthesis_two_qubits():
         assert eval_word(ctx, word) == target.mul_zeta(p)
 
 
+def test_exact_word_cancels_three_phases_with_one_inverse():
+    """A quotient word that evaluates to i * target needs i^3 = (i I)^-1:
+    one inverted 6-letter i*I word, not three copies of it."""
+    ctx = RepContext(2)
+    for target, quotient, exact in ((swap_gate(2, 1, 2), 9, 15), (cnot_gate(2, 1, 2), 11, 17)):
+        word, p = clifford_word_via_quotient(ctx, target)
+        assert (len(word), p) == (quotient, 2)
+        exact_word = exact_clifford_word(ctx, target)
+        assert len(exact_word) == exact
+        assert eval_word(ctx, exact_word) == target
+
+
 def test_exact_word_rejects_odd_phase_targets():
     # H itself is not in the strict image, only zeta*H
     with pytest.raises(ValueError):
