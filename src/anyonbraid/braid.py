@@ -294,21 +294,9 @@ def square_formulas(ctx: RepContext) -> list[tuple[int, PauliElement]]:
     return sorted(out)
 
 
-def phase_element(ctx: RepContext) -> DenseMatrix:
-    """R_2n (R_2n+1)^2 R_2n (R_2n+1)^2, which equals i times the identity
-    in the positive-parity sector."""
-    if ctx.parity != 1:
-        raise ValueError("the phase element identity is stated for positive parity")
-    n = ctx.n_qubits
-    word = BraidWord(((2 * n, 1), (2 * n + 1, 2), (2 * n, 1), (2 * n + 1, 2)))
-    out = eval_word(ctx, word)
-    expected = rep_identity(ctx).mul_zeta(2)
-    if out != expected:
-        raise RuntimeError("phase element did not evaluate to i * identity")
-    return out
-
-
 def phase_word(ctx: RepContext) -> BraidWord:
+    """R_2n (R_2n+1)^2 R_2n (R_2n+1)^2, which evaluates to i times the unit
+    of the projected and compressed forms."""
     n = ctx.n_qubits
     return BraidWord(((2 * n, 1), (2 * n + 1, 2), (2 * n, 1), (2 * n + 1, 2)))
 

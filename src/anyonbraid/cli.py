@@ -3,7 +3,7 @@
 Every subcommand writes JSON to stdout (or a text rendering with
 --format text) and is deterministic for fixed flags.  Exit codes: 0 on
 success, 1 when a verification-style command finds a failure, 2 on usage
-errors.
+errors and on inputs too large to hold in memory.
 """
 
 from __future__ import annotations
@@ -314,7 +314,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError, KeyError, OSError, EnumerationCapExceeded) as exc:
+    except (ValueError, IndexError, KeyError, OSError, MemoryError,
+            EnumerationCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -14,8 +14,8 @@ Algorithms for Permutation Groups, LNCS 559, 1991).  So the closure pushes
 each coset as blocks without a membership test per element, and checks
 only that the stored count grew by each block's length.
 
-A DenseMatrix group is enumerated over key bytes: its elements are stored
-only as DenseMatrix.key() bytes.  Each coset H*t is one stacked product
+enumerate_group runs over key bytes: a group's elements are stored only
+as DenseMatrix.key() bytes.  Each coset H*t is one stacked product
 per block of matrix.BLOCK_ROWS elements of H, stacked straight from the
 joined keys, and a block of products goes back as its keys; only the few
 products that find coset representatives build a matrix.
@@ -26,15 +26,17 @@ center() tests a block of candidates against each generator at once,
 keeping only the survivors for the next generator.  When the group holds
 every single-qubit X and Z up to phase, as the braid images do, only its
 elements z^e sigma_v can be central, so center() tests those and no
-others.  Other element types (BitMatrix) are their own keys and take one
-product per element through the same Dimino loop; the library takes
-GF(2) group orders from gf2.StabiliserChain instead, and keeps that loop
-as the chain's test oracle.
+others.
+
+dimino itself takes any hashable elements, by default with one product
+per element; symplectic.symplectic_subgroup closes a BitMatrix group that
+way as the test oracle of gf2.StabiliserChain, from which the library
+takes GF(2) group orders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -55,10 +57,6 @@ class EnumerationCapExceeded(RuntimeError):
 
 def _strict_mul(a, b):
     return a @ b
-
-
-def _projective_mul(a, b):
-    return (a @ b).projective_canonical()[1]
 
 
 def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
@@ -144,35 +142,20 @@ def _key_cosets(projective: bool):
     return cosets
 
 
-def _key(x):
-    return x.key() if isinstance(x, DenseMatrix) else x
-
-
 class GroupEnumeration:
-    """An enumerated group: its generators (canonical in projective mode),
-    its mode ("strict" or "projective"), its elements in enumeration order
-    and the set-like `keys` of their keys (DenseMatrix.key(); other
-    elements are their own keys).  A group made by `from_keys` stores the
-    ordered keys only; `elements` is built on first read."""
+    """An enumerated group of DenseMatrix elements: its generators
+    (canonical in projective mode), its mode ("strict" or "projective") and
+    the keys (DenseMatrix.key()) of its elements, as the keys of the dict
+    `ordered` in enumeration order (as dimino returns them).  `keys` is
+    their set-like view; `elements` builds the matrices on first read."""
 
     __slots__ = ("generators", "mode", "keys", "_ordered", "_elements")
 
-    def __init__(self, generators, mode: str, elements, keys):
+    def __init__(self, generators, mode: str, ordered: dict):
         self.generators = tuple(generators)
         self.mode = mode
-        self.keys = keys
-        self._elements = tuple(elements)
-        self._ordered = [_key(x) for x in self._elements]
-
-    @classmethod
-    def from_keys(cls, generators, mode: str, ordered: dict) -> GroupEnumeration:
-        """The group of DenseMatrix elements whose keys are the keys of the
-        dict `ordered`, in its order (as dimino returns them)."""
-        enum = cls.__new__(cls)
-        enum.generators, enum.mode = tuple(generators), mode
-        enum.keys = ordered.keys()
-        enum._ordered, enum._elements = list(ordered), None
-        return enum
+        self.keys = ordered.keys()
+        self._ordered, self._elements = list(ordered), None
 
     @property
     def elements(self) -> tuple:
@@ -190,7 +173,7 @@ class GroupEnumeration:
         return element
 
     def contains(self, element) -> bool:
-        return _key(self.canonical(element)) in self.keys
+        return self.canonical(element).key() in self.keys
 
     def _stored_keys(self, m: DenseMatrix) -> list[bytes]:
         """Keys under which a z-power multiple of m would be stored."""
@@ -253,41 +236,33 @@ class GroupEnumeration:
         }
 
 
-def enumerate_group(generators, mode: str = "strict", cap: int = DEFAULT_CAP,
-                    identity=None) -> GroupEnumeration:
-    """Enumerate the matrix group generated by `generators`.
+def enumerate_group(generators, mode: str = "strict",
+                    cap: int = DEFAULT_CAP) -> GroupEnumeration:
+    """Enumerate the DenseMatrix group generated by `generators`, over
+    their keys.
 
     Generators must be square, same-dimensional and unitary; projective
-    mode enumerates global-phase classes.  DenseMatrix groups are
-    enumerated over their keys.
+    mode enumerates global-phase classes.
     """
     if mode not in ("strict", "projective"):
         raise ValueError("mode must be strict or projective")
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    dense = isinstance(gens[0], DenseMatrix)
-    if dense:
-        dim = gens[0].dim
-        for g in gens:
-            if g.dim != dim:
-                raise ValueError("generators must share a dimension")
-            if not g.is_unitary():
-                raise ValueError("non-unitary generator")
-        if identity is None:
-            identity = DenseMatrix.identity(dim)
-    elif identity is None:
-        raise ValueError("identity required for non-DenseMatrix elements")
+    dim = gens[0].dim
+    for g in gens:
+        if g.dim != dim:
+            raise ValueError("generators must share a dimension")
+        if not g.is_unitary():
+            raise ValueError("non-unitary generator")
+    identity = DenseMatrix.identity(dim)
     projective = mode == "projective"
     if projective:
         gens = [g.projective_canonical()[1] for g in gens]
         identity = identity.projective_canonical()[1]
-    if not dense:
-        elements = dimino(gens, identity, _projective_mul if projective else _strict_mul, cap)
-        return GroupEnumeration(gens, mode, elements, elements.keys())
     ordered = dimino([g.key() for g in gens], identity.key(), _key_mul(projective), cap,
                      _key_cosets(projective))
-    return GroupEnumeration.from_keys(gens, mode, ordered)
+    return GroupEnumeration(gens, mode, ordered)
 
 
 @lru_cache(maxsize=None)
@@ -325,12 +300,7 @@ class MonodromyPauliVerdict:
     equal: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "monodromy_order": self.monodromy_order,
-            "pauli_order": self.pauli_order,
-            "equal": self.equal,
-        }
+        return asdict(self)
 
 
 def monodromy_equals_pauli(n: int, parity: int = 1) -> MonodromyPauliVerdict:

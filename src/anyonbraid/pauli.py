@@ -124,13 +124,8 @@ def pauli_sparse(v) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _pauli_matrix_cached(v: tuple[int, ...]) -> DenseMatrix:
     perm, ipow = _pauli_sparse_cached(v)
-    d = len(perm)
-    planes = np.zeros((4, d, d), dtype=np.int64)
-    for r in range(d):
-        e = int(ipow[r])
-        plane, sign = (e % 2) * 2, (1 if e < 2 else -1)
-        planes[plane, r, int(perm[r])] = sign
-    return DenseMatrix(planes, 0, _normalized=True)
+    ident = DenseMatrix.identity(len(perm)).planes
+    return DenseMatrix(signed_rows(ident)[phased_row_index(perm, ipow)], 0, _normalized=True)
 
 
 def pauli_vector_matrix(v) -> DenseMatrix:
@@ -203,41 +198,13 @@ def read_term(head: np.ndarray, others: np.ndarray,
     return v, c
 
 
-def pauli_term(mat: DenseMatrix) -> tuple[tuple[int, ...], CycScalar] | None:
-    """(v, c) when mat == c * sigma_v exactly, otherwise None: read_term's
-    candidate, confirmed against every entry of the sparse (perm, ipow) form
-    of sigma_v."""
-    d = mat.dim
-    n = d.bit_length() - 1
-    if 2 ** n != d:
-        raise ValueError("dimension must be a power of two")
-    planes = mat.planes
-    row0 = np.flatnonzero(planes[:, 0, :].any(axis=0))
-    if len(row0) != 1:
-        return None
-    x = int(row0[0])
-    bits = qubit_bits(n)
-    term = read_term(planes[:, 0, x], planes[:, bits, bits ^ x], x)
-    if term is None:
-        return None
-    v, c = term
-    perm, ipow = _pauli_sparse_cached(v)
-    # every mat[r, perm[r]] equals c * i^ipow[r], which is nonzero, and
-    # no other entry is nonzero
-    if (not np.array_equal(planes[:, np.arange(d), perm],
-                           _times_ipow(np.array(c)[:, None], ipow))
-            or np.count_nonzero(planes.any(axis=0)) != d):
-        return None
-    return v, CycScalar(*c, mat.k)
-
-
 def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[tuple[int, ...], CycScalar]]:
     """Exact expansion of mat in the sigma_v basis via trace inner products.
 
     Returns the nonzero coefficients [(v, c)] with mat = sum c * sigma_v.
-    It costs 4^n gathers; a matrix that is one Pauli term is read faster
-    by pauli_term, so the library expands only to report a non-Clifford
-    witness.
+    It costs 4^n gathers; clifford_check reads a matrix that is one Pauli
+    term faster with read_term, so the library expands only to report a
+    non-Clifford witness.
     """
     d = mat.dim
     n = d.bit_length() - 1

@@ -14,14 +14,13 @@ U sigma_g U^dagger and confirmed by comparing two signed permutations of U
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .braid import RepContext, braid_generator
-from .gf2 import BitMatrix, StabiliserChain, is_symplectic, omega_matrix
+from .gf2 import BitMatrix, StabiliserChain, is_symplectic
 from .matrix import DenseMatrix, _product
 from .pauli import (pauli_basis_decompose, pauli_columns, pauli_sparse, phased_row_index,
                     qubit_bits, read_term, signed_rows)
@@ -125,22 +124,6 @@ def sp_order(n: int, q: int) -> int:
     return order
 
 
-def sp_bruteforce_order(n: int) -> int:
-    """Count 2n x 2n bit matrices with S^T M S = M by brute force (n <= 2)."""
-    size = 2 * n
-    if size * size > 20:
-        raise ValueError("brute force limited to n <= 2")
-    m = omega_matrix(n)
-    mask = (1 << size) - 1
-    count = 0
-    for bits in range(1 << (size * size)):
-        rows = tuple((bits >> (size * i)) & mask for i in range(size))
-        s = BitMatrix(size, rows)
-        if s.transpose() @ m @ s == m:
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class GroupOrders:
     pauli: int
@@ -150,13 +133,7 @@ class GroupOrders:
     braid_image_mod_center: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "pauli": self.pauli,
-            "projective_pauli": self.projective_pauli,
-            "projective_clifford": self.projective_clifford,
-            "braid_image": self.braid_image,
-            "braid_image_mod_center": self.braid_image_mod_center,
-        }
+        return asdict(self)
 
 
 def group_orders(n: int) -> GroupOrders:
@@ -227,6 +204,8 @@ def basis_change_t(n: int) -> BitMatrix:
     """The self-inverse basis change making the generator images
     transparent permutations (column c keeps its diagonal 1 and gains 1s
     in every later qubit block)."""
+    if n < 1:
+        raise ValueError("n must be positive")
     size = 2 * n
     rows = [[0] * size for _ in range(size)]
     for c in range(size):
@@ -290,13 +269,7 @@ class FaithfulnessVerdict:
         return self.subgroup_order == self.expected_order
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "subgroup_order": self.subgroup_order,
-            "expected_order": self.expected_order,
-            "symmetric_group_degree": self.symmetric_group_degree,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def faithfulness_check(n: int) -> FaithfulnessVerdict:
@@ -306,10 +279,3 @@ def faithfulness_check(n: int) -> FaithfulnessVerdict:
     degree = symmetric_degree(n)
     chain = StabiliserChain([braid_symplectic(n, j) for j in range(1, 2 * n + 2)], 2 * n)
     return FaithfulnessVerdict(n, chain.order(), factorial(degree), degree)
-
-
-def braid_generator_action(ctx: RepContext, j: int) -> CliffordAction:
-    act = clifford_check(braid_generator(ctx, j))
-    if not isinstance(act, CliffordAction):
-        raise RuntimeError(f"braid generator {j} is not Clifford")
-    return act

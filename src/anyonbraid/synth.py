@@ -30,7 +30,7 @@ flip modes j and j+1, clear the signs that differ from the target's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -457,15 +457,7 @@ class MissingGateReport:
     swap_plus_braid_generates_sp: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "subgroup_order": self.subgroup_order,
-            "sp_full_order": self.sp_full_order,
-            "coset_count": self.coset_count,
-            "swap_pairs_obstructed": [list(p) for p in self.swap_pairs_obstructed],
-            "swap_pairs_reachable": [list(p) for p in self.swap_pairs_reachable],
-            "swap_plus_braid_generates_sp": self.swap_plus_braid_generates_sp,
-        }
+        return asdict(self)
 
 
 def missing_gate_report(n: int, check_generation: bool = False) -> MissingGateReport:

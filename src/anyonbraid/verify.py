@@ -20,12 +20,9 @@ from .symplectic import CliffordAction, braid_symplectic, clifford_check, tilde_
 
 
 def _contexts(n: int, forms=("compressed", "projected", "unprojected")) -> list[RepContext]:
-    out = []
-    for form in forms:
-        parities = (1,) if form == "unprojected" else (1, -1)
-        for parity in parities:
-            out.append(RepContext(n, parity, form))
-    return out
+    """Both parities of each form in turn; the unprojected form has one."""
+    return [RepContext(n, parity, form) for form in forms
+            for parity in ((1,) if form == "unprojected" else (1, -1))]
 
 
 def check_clifford_algebra(n: int) -> Iterator[tuple[str, bool, str]]:
@@ -112,16 +109,13 @@ def check_square_formulas(n: int) -> Iterator[tuple[str, bool, str]]:
 
 
 def check_phase_identities(n: int) -> Iterator[tuple[str, bool, str]]:
-    for form in ("unprojected", "projected", "compressed"):
-        parities = (1,) if form == "unprojected" else (1, -1)
-        for parity in parities:
-            ctx = RepContext(n, parity, form)
-            r2n = braid_generator(ctx, 2 * n)
-            r2n1 = braid_generator(ctx, 2 * n + 1)
-            sq = r2n1 @ r2n1
-            ok = (r2n @ sq @ r2n) == sq.mul_zeta(2)
-            yield (f"R_2n (R_2n+1)^2 R_2n = i (R_2n+1)^2 {form} n={n} parity={parity:+d}",
-                   ok, "the phase relation of the last two generators")
+    for ctx in _contexts(n, ("unprojected", "projected", "compressed")):
+        r2n = braid_generator(ctx, 2 * n)
+        r2n1 = braid_generator(ctx, 2 * n + 1)
+        sq = r2n1 @ r2n1
+        ok = (r2n @ sq @ r2n) == sq.mul_zeta(2)
+        yield (f"R_2n (R_2n+1)^2 R_2n = i (R_2n+1)^2 {ctx.form} n={n} parity={ctx.parity:+d}",
+               ok, "the phase relation of the last two generators")
     for form in ("compressed", "projected"):
         ctx = RepContext(n, 1, form)
         got = eval_word(ctx, phase_word(ctx))
@@ -131,16 +125,13 @@ def check_phase_identities(n: int) -> Iterator[tuple[str, bool, str]]:
 
 
 def check_monodromy_closed_form(n: int) -> Iterator[tuple[str, bool, str]]:
-    for form in ("unprojected", "compressed"):
-        parities = (1,) if form == "unprojected" else (1, -1)
-        for parity in parities:
-            ctx = RepContext(n, parity, form)
-            ok = True
-            for i in range(1, ctx.strands):
-                for j in range(i + 1, ctx.strands + 1):
-                    ok = ok and monodromy(ctx, i, j) == monodromy_closed_form(ctx, i, j)
-            yield (f"monodromy closed form {form} n={n} parity={parity:+d}", ok,
-                   "word form equals i (-1)^(l-k) gamma_k gamma_l")
+    for ctx in _contexts(n, ("unprojected", "compressed")):
+        ok = True
+        for i in range(1, ctx.strands):
+            for j in range(i + 1, ctx.strands + 1):
+                ok = ok and monodromy(ctx, i, j) == monodromy_closed_form(ctx, i, j)
+        yield (f"monodromy closed form {ctx.form} n={n} parity={ctx.parity:+d}", ok,
+               "word form equals i (-1)^(l-k) gamma_k gamma_l")
 
 
 def check_projector_commutes(n: int) -> tuple[str, bool, str]:
@@ -191,6 +182,8 @@ def check_tilde_basis(n: int) -> tuple[str, bool, str]:
 
 
 def run_battery(n_max: int) -> list[tuple[str, bool, str]]:
+    if n_max < 1:
+        raise ValueError("n must be positive")
     out = []
     for n in range(1, n_max + 1):
         out.extend(check_clifford_algebra(n))

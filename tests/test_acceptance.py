@@ -25,10 +25,11 @@ from anyonbraid.gates import cz_gate, hadamard_gate, swap_gate
 from anyonbraid.gf2 import BitMatrix
 from anyonbraid.groups import braid_image, monodromy_equals_pauli, monodromy_image
 from anyonbraid.symplectic import (CliffordAction, braid_symplectic, clifford_check,
-                                   faithfulness_check, group_orders, sp_bruteforce_order,
-                                   sp_order, tilde_basis, tilde_printed)
+                                   faithfulness_check, group_orders, sp_order,
+                                   tilde_basis, tilde_printed)
 from anyonbraid.synth import coverage_ratio, reachability, synthesize
 from anyonbraid.verify import run_battery
+from oracles import sp_bruteforce_order
 
 
 def _report(num: str, ok: bool, text: str) -> None:

@@ -10,7 +10,7 @@ from anyonbraid.braid import (BraidWord, RepContext, _apply_letter, _gamma_pauli
                               _letter_rows, braid_generator, braid_generator_inverse,
                               cz_pair_word, eval_word, exchange_table, monodromy,
                               monodromy_closed_form, monodromy_word, named_gate,
-                              phase_element, phase_word, rep_identity, square_formulas)
+                              phase_word, rep_identity, square_formulas)
 from anyonbraid.gamma import SIGMA1, SIGMA3, compress_matrix, gamma, projector
 from anyonbraid.gates import cz_gate, hadamard_gate, phase_gate, swap_gate
 from anyonbraid.matrix import DenseMatrix, MatrixStack
@@ -141,13 +141,10 @@ def test_square_formula_values_n2():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_phase_element(n):
-    for form in ("compressed", "projected"):
-        ctx = RepContext(n, 1, form)
-        assert phase_element(ctx) == rep_identity(ctx).mul_zeta(2)
-        el = eval_word(ctx, phase_word(ctx))
-        assert el @ el @ el @ el == rep_identity(ctx)
-    with pytest.raises(ValueError):
-        phase_element(RepContext(n, -1))
+    for parity in (1, -1):
+        for form in ("compressed", "projected"):
+            ctx = RepContext(n, parity, form)
+            assert eval_word(ctx, phase_word(ctx)) == rep_identity(ctx).mul_zeta(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

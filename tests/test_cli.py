@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import anyonbraid.cli as cli
 from anyonbraid.cli import main
 from anyonbraid.matrix import DenseMatrix
 
@@ -185,6 +186,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
     assert err == "error: enumeration exceeded cap of 5 elements\n"
+    for command in ("verify-relations", "symplectic"):
+        for n in ("0", "-1"):
+            assert run_cli(capsys, command, "--n", n) == (2, "", "error: n must be positive\n")
     too_big = [1 << 62, 0, 0, 0, 0]
     zero = [0, 0, 0, 0, 0]
     for bad in ({"dim": 2, "entries": [1, 2]},
@@ -209,6 +213,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message), argv
+
+
+def test_allocation_failure_exits_two(monkeypatch, capsys):
+    """An input too large for memory is a usage error, not a failed check.
+    The commands' library calls are replaced, so nothing is allocated."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB")
+
+    monkeypatch.setattr(cli, "eval_word", too_large)
+    monkeypatch.setattr(cli, "parse_gate_target", too_large)
+    for argv in (["eval-word", "--n", "16", "--word", "1"],
+                 ["reach", "--n", "16", "--target", "swap:1,2"]):
+        assert run_cli(capsys, *argv) == (2, "", "error: Unable to allocate 128. GiB\n"), argv
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

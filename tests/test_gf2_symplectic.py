@@ -16,9 +16,9 @@ from anyonbraid.pauli import PauliElement
 from anyonbraid.ring import CycScalar
 from anyonbraid.symplectic import (CliffordAction, NonClifford, basis_change_t,
                                    braid_symplectic, clifford_check,
-                                   faithfulness_check, group_orders, sp_bruteforce_order,
-                                   sp_order, symplectic_subgroup, tilde_basis,
-                                   tilde_printed)
+                                   faithfulness_check, group_orders, sp_order,
+                                   symplectic_subgroup, tilde_basis, tilde_printed)
+from oracles import sp_bruteforce_order
 
 
 def rand_bitmatrix(rng, n):

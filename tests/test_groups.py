@@ -219,11 +219,12 @@ def test_center_matches_elementwise_oracle():
                 assert len(cen) == (4 if mode == "strict" else 1)
         # A seeded sample of B_6 over several blocks, with the center and the
         # powers of the first generator, which commute with some generators
-        # but not all.  Without keys, every element is tested.
+        # but not all.  The sample misses some X_q or Z_q, so every element
+        # is tested.
         b6 = braid_image(2, 1, mode)
         rng = random.Random(6)
         sample = rng.sample(b6.elements, 2500) + list(b6.elements[:8]) + b6.center()
-        enum = GroupEnumeration(b6.generators, mode, tuple(sample), frozenset())
+        enum = GroupEnumeration(b6.generators, mode, dict.fromkeys(x.key() for x in sample))
         assert enum._pauli_keys() is None
         cen = enum.center()
         assert cen == center_by_elements(enum)

@@ -9,10 +9,11 @@ from anyonbraid.gates import cnot_gate, cz_gate, hadamard_gate, swap_gate
 from anyonbraid.gf2 import BitMatrix
 from anyonbraid.matrix import DenseMatrix
 from anyonbraid.pauli import (PauliElement, pauli_basis_decompose, pauli_sparse,
-                              pauli_columns, pauli_term, pauli_vector_matrix, qubit_bits,
+                              pauli_columns, pauli_vector_matrix, qubit_bits,
                               read_term, star_product, symplectic_form)
 from anyonbraid.ring import ONE, ZETA, CycScalar
 from anyonbraid.symplectic import CliffordAction, NonClifford, clifford_check
+from oracles import pauli_term
 
 # reproducible examples, no example database left in the working tree
 EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
