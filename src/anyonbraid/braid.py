@@ -100,7 +100,10 @@ class BraidWord:
         """Parse whitespace-separated signed indices, e.g. "1 3 -5"."""
         letters = []
         for tok in text.split():
-            x = int(tok)
+            try:
+                x = int(tok)
+            except ValueError:
+                raise ValueError(f"bad braid letter {tok!r}") from None
             if x == 0:
                 raise ValueError("0 is not a generator index")
             letters.append((abs(x), 1 if x > 0 else -1))
@@ -169,7 +172,7 @@ def exchange_table(ctx: RepContext, j: int) -> tuple[np.ndarray, np.ndarray]:
         raise IndexError(f"generator index {j} out of range 1..{ctx.generator_count}")
     m = ctx.n_qubits + 1
     g = _gamma_pauli(m, j) * _gamma_pauli(m, j + 1)
-    perm, ipow = pauli_sparse(g.v)
+    perm, ipow = pauli_sparse(g.x, m)
     ipow = (ipow + g.m) % 4
     if ctx.compressed:
         idx = _embedding(ctx.n_qubits, ctx.parity)
@@ -283,13 +286,13 @@ def square_formulas(ctx: RepContext) -> list[tuple[int, PauliElement]]:
     for q in range(1, n):
         tail = PauliElement.single(n, q, 3) * tail
     if ctx.parity == 1:
-        tail = PauliElement(tail.m + 2, tail.v)
+        tail = PauliElement(tail.m + 2, tail.x, n)
     out.append((2 * n, tail))
     allz = PauliElement.identity(n)
     for q in range(1, n + 1):
         allz = allz * PauliElement.single(n, q, 3)
     if ctx.parity == -1:
-        allz = PauliElement(allz.m + 2, allz.v)
+        allz = PauliElement(allz.m + 2, allz.x, n)
     out.append((2 * n + 1, allz))
     return sorted(out)
 

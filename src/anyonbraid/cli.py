@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .braid import BraidWord, RepContext, eval_word, named_gate
+from .braid import FORMS, BraidWord, RepContext, eval_word, named_gate
 from .fusion import FusionLabel, count_paths, enumerate_paths
 from .gates import parse_gate_target
 from .groups import EnumerationCapExceeded, braid_image, monodromy_equals_pauli
@@ -222,20 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, parity=True, form=False, pretty=False):
+    def common(p, parity=True, forms=(), pretty=False):
         p.add_argument("--n", type=int, required=True, help="number of qubits")
         if parity:
             p.add_argument("--parity", type=_parity, default=1)
-        if form:
-            p.add_argument("--form", choices=("compressed", "projected", "unprojected"),
-                           default="compressed")
+        if forms:
+            p.add_argument("--form", choices=forms, default="compressed")
         if pretty:
             p.add_argument("--pretty", action="store_true",
                            help="add a complex-float rendering (display only)")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("gen-matrix", help="matrix of a generator or a named gate word")
-    common(p, form=True, pretty=True)
+    common(p, forms=FORMS, pretty=True)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--generator", type=int, help="braid generator index")
     which.add_argument("--gate", choices=("phase", "hadamard_last", "cz_pair", "cz_swap_pair"))
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_matrix)
 
     p = sub.add_parser("eval-word", help="evaluate a braid word")
-    common(p, form=True, pretty=True)
+    common(p, forms=FORMS, pretty=True)
     p.add_argument("--word", required=True, help='e.g. "1 3 -5"')
     p.set_defaults(func=cmd_eval_word)
 
@@ -266,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_monodromy_check)
 
+    # a projected word R_j P is a projection, never unitary, so never checked
     p = sub.add_parser("clifford-check", help="Clifford membership of a word or target")
-    common(p, form=True)
+    common(p, forms=("compressed", "unprojected"))
     p.add_argument("--word")
     p.add_argument("--target")
     p.set_defaults(func=cmd_clifford_check)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -195,8 +194,8 @@ class GroupEnumeration:
                 single = PauliElement.single(n, q, axis).to_matrix()
                 if self.keys.isdisjoint(self._stored_keys(single)):
                     return None
-        return frozenset(k for v in product((0, 1), repeat=2 * n)
-                         for k in self._stored_keys(pauli_vector_matrix(v)))
+        return frozenset(k for x in range(4 ** n)
+                         for k in self._stored_keys(pauli_vector_matrix(x, n)))
 
     def center(self) -> list:
         """Elements commuting with every generator (up to a global phase in

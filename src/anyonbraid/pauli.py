@@ -1,15 +1,20 @@
 """The n-qubit Pauli group and its F2 vector encoding.
 
-A group element is i^m sigma_v where v is a length-2n bit vector whose
-pairs (v_{2i-1}, v_{2i}) encode the factor on qubit i:
+A group element is i^m sigma_x.  The vector x has 2n bits and is held as
+one int with v_i in bit i, the one encoding of a Pauli vector in the
+package and the form that gf2.BitMatrix.mul_vec, and so a Clifford's
+symplectic image S, acts on.  The pair (bit 2q - 2, bit 2q - 1) holds the
+factor on qubit q:
 
     (0,0) -> I    (1,0) -> sigma1    (0,1) -> sigma2    (1,1) -> i*sigma3
 
 With that convention sigma_p sigma_q = (-1)^(p*q) sigma_{p xor q} where
-p*q = sum_i p_{2i} q_{2i-1}, and two elements commute iff the symplectic
+p*q = sum_i p_{2i+1} q_{2i}, and two elements commute iff the symplectic
 form p^T M q vanishes (M = I_n tensor [[0,1],[1,0]] over F2).
+PauliElement owns that product; a vector is written as 0/1 characters,
+bit 0 first, only in a repr and in JSON.
 
-sigma_v is kept sparse, as (perm, ipow) with sigma_v[r, perm[r]] =
+sigma_x is kept sparse, as (perm, ipow) with sigma_x[r, perm[r]] =
 i^ipow[r].  A product with such a phased permutation is a gather of the
 rows of (X, -X) (signed_rows, phased_row_index), never a matrix product.
 """
@@ -25,88 +30,79 @@ from .matrix import DenseMatrix
 from .ring import CycScalar
 
 
-def star_product(p, q) -> int:
-    """sum_i p_{2i} q_{2i-1} mod 2 (the sign exponent of sigma_p sigma_q)."""
-    if len(p) != len(q) or len(p) % 2:
-        raise ValueError("vectors must have equal even length")
-    return sum(p[2 * i + 1] * q[2 * i] for i in range(len(p) // 2)) & 1
+def star_product(p: int, q: int) -> int:
+    """sum_i p_{2i+1} q_{2i} mod 2 (the sign exponent of sigma_p sigma_q);
+    (4^k - 1) / 3 sets the even bits 0, 2, ..., 2k - 2."""
+    t = (p >> 1) & q
+    return (t & (4 ** t.bit_length() - 1) // 3).bit_count() & 1
 
 
-def symplectic_form(p, q) -> int:
+def symplectic_form(p: int, q: int) -> int:
     """p^T M q over F2; zero iff sigma_p and sigma_q commute."""
     return (star_product(p, q) + star_product(q, p)) & 1
+
+
+def vector_text(x: int, n: int) -> str:
+    """The 2n bits of x as 0/1 characters, bit 0 first."""
+    return "".join(str(x >> i & 1) for i in range(2 * n))
 
 
 @dataclass(frozen=True)
 class PauliElement:
     m: int                  # phase exponent of i, mod 4
-    v: tuple[int, ...]      # bit vector of length 2n
+    x: int                  # the 2n-bit vector, v_i in bit i
+    n_qubits: int
 
     def __post_init__(self):
-        if len(self.v) % 2 or any(b not in (0, 1) for b in self.v):
-            raise ValueError("v must be an even-length 0/1 vector")
+        if not 0 <= self.x < 4 ** self.n_qubits:
+            raise ValueError("x must be a 2n-bit vector")
         object.__setattr__(self, "m", self.m % 4)
-        object.__setattr__(self, "v", tuple(self.v))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.v) // 2
 
     @classmethod
     def identity(cls, n: int) -> PauliElement:
-        return cls(0, (0,) * (2 * n))
+        return cls(0, 0, n)
 
     @classmethod
     def single(cls, n: int, qubit: int, axis: int, m: int = 0) -> PauliElement:
-        """i^m times sigma_axis on one qubit (axis 1,2,3; axis 3 is i*sigma3
-        times an extra i^3 so the result is the plain sigma3)."""
+        """i^m times sigma_axis on one qubit (axis 1,2,3; the bits of axis
+        are the qubit's pair, and axis 3 is i*sigma3 times an extra i^3 so
+        the result is the plain sigma3)."""
         if not 1 <= qubit <= n:
             raise IndexError("qubit out of range")
-        v = [0] * (2 * n)
-        if axis == 1:
-            v[2 * qubit - 2] = 1
-        elif axis == 2:
-            v[2 * qubit - 1] = 1
-        elif axis == 3:
-            v[2 * qubit - 2] = 1
-            v[2 * qubit - 1] = 1
-            m += 3
-        else:
+        if axis not in (1, 2, 3):
             raise ValueError("axis must be 1, 2 or 3")
-        return cls(m, tuple(v))
+        return cls(m + 3 * (axis == 3), axis << 2 * qubit - 2, n)
 
     def __mul__(self, other: PauliElement) -> PauliElement:
-        if len(self.v) != len(other.v):
+        if self.n_qubits != other.n_qubits:
             raise ValueError("size mismatch")
-        sign = star_product(self.v, other.v)
-        v = tuple(a ^ b for a, b in zip(self.v, other.v))
-        return PauliElement(self.m + other.m + 2 * sign, v)
+        sign = star_product(self.x, other.x)
+        return PauliElement(self.m + other.m + 2 * sign, self.x ^ other.x, self.n_qubits)
 
     def inverse(self) -> PauliElement:
-        self_star = star_product(self.v, self.v)
-        return PauliElement(-self.m - 2 * self_star, self.v)
+        return PauliElement(-self.m - 2 * star_product(self.x, self.x), self.x, self.n_qubits)
 
     def commutes_with(self, other: PauliElement) -> bool:
-        return symplectic_form(self.v, other.v) == 0
+        return symplectic_form(self.x, other.x) == 0
 
     def to_matrix(self) -> DenseMatrix:
-        return pauli_vector_matrix(self.v).mul_zeta(2 * self.m)
+        return pauli_vector_matrix(self.x, self.n_qubits).mul_zeta(2 * self.m)
 
     def __repr__(self) -> str:
-        return f"PauliElement(m={self.m}, v={''.join(map(str, self.v))})"
+        return f"PauliElement(m={self.m}, x={vector_text(self.x, self.n_qubits)})"
 
 
 @lru_cache(maxsize=None)
-def _pauli_sparse_cached(v: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, ipow): sigma_v[r, perm[r]] = i^ipow[r], zero elsewhere.
+def pauli_sparse(x: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, ipow): sigma_x[r, perm[r]] = i^ipow[r], zero elsewhere, for
+    x on n qubits.
 
     Per qubit, with b the row's bit: sigma1 (1,0) flips b; sigma2 (0,1)
     flips b with phase i^(3 + 2b); i*sigma3 (1,1) keeps b with phase
     i^(1 + 2b).
     """
-    n = len(v) // 2
-    b1 = np.array(v[0::2], dtype=np.int64)
-    b2 = np.array(v[1::2], dtype=np.int64)
+    pairs = np.array([x >> 2 * q & 3 for q in range(n)], dtype=np.int64)
+    b1, b2 = pairs & 1, pairs >> 1
     shifts = np.arange(n - 1, -1, -1)
     rows = np.arange(2 ** n)
     bit = (rows[:, None] >> shifts) & 1
@@ -117,20 +113,12 @@ def _pauli_sparse_cached(v: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return perm, ipow
 
 
-def pauli_sparse(v) -> tuple[np.ndarray, np.ndarray]:
-    return _pauli_sparse_cached(tuple(v))
-
-
 @lru_cache(maxsize=None)
-def _pauli_matrix_cached(v: tuple[int, ...]) -> DenseMatrix:
-    perm, ipow = _pauli_sparse_cached(v)
+def pauli_vector_matrix(x: int, n: int) -> DenseMatrix:
+    """The matrix sigma_x on n qubits (phase convention (1,1) -> i*sigma3)."""
+    perm, ipow = pauli_sparse(x, n)
     ident = DenseMatrix.identity(len(perm)).planes
     return DenseMatrix(signed_rows(ident)[phased_row_index(perm, ipow)], 0, _normalized=True)
-
-
-def pauli_vector_matrix(v) -> DenseMatrix:
-    """The matrix sigma_v (phase convention (1,1) -> i*sigma3)."""
-    return _pauli_matrix_cached(tuple(v))
 
 
 def _times_ipow(planes: np.ndarray, e) -> np.ndarray:
@@ -154,18 +142,18 @@ def phased_row_index(perm: np.ndarray, ipow) -> np.ndarray:
     return ((np.arange(4)[:, None] - 2 * np.asarray(ipow)) % 8) * len(perm) + perm
 
 
-def pauli_columns(mat: DenseMatrix, vs) -> np.ndarray:
-    """Planes (len(vs), 4, d, d) of mat @ sigma_v for each v, as one gather:
-    (mat sigma_v)^T = sigma_v^T mat^T, and sigma_v^T is the phased
+def pauli_columns(mat: DenseMatrix, xs) -> np.ndarray:
+    """Planes (len(xs), 4, d, d) of mat @ sigma_x for each x, as one gather:
+    (mat sigma_x)^T = sigma_x^T mat^T, and sigma_x^T is the phased
     permutation (perm, ipow[perm]) because perm is an involution."""
     rows = signed_rows(mat.planes.transpose(0, 2, 1))
-    return rows[_column_index(tuple(map(tuple, vs)))].transpose(0, 1, 3, 2)
+    return rows[_column_index(tuple(xs), mat.dim.bit_length() - 1)].transpose(0, 1, 3, 2)
 
 
 @lru_cache(maxsize=None)
-def _column_index(vs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _column_index(xs: tuple[int, ...], n: int) -> np.ndarray:
     idx = np.stack([phased_row_index(perm, ipow[perm])
-                    for perm, ipow in map(_pauli_sparse_cached, vs)])
+                    for perm, ipow in (pauli_sparse(x, n) for x in xs)])
     idx.flags.writeable = False
     return idx
 
@@ -175,48 +163,47 @@ def qubit_bits(n: int) -> np.ndarray:
     return 1 << np.arange(n - 1, -1, -1)
 
 
-def read_term(head: np.ndarray, others: np.ndarray,
-              x: int) -> tuple[tuple[int, ...], list[int]] | None:
-    """The candidate (v, c) for w == c * sigma_v, when row 0 of w holds a
-    single nonzero entry head = w[0, x] (planes (4,)) and others holds the
-    planes (4, n) of w[b, b ^ x] for b = qubit_bits(n); c is the four
+def read_term(head: np.ndarray, others: np.ndarray, col: int) -> tuple[int, list[int]] | None:
+    """The candidate (x, c) for w == c * sigma_x, when row 0 of w holds a
+    single nonzero entry head = w[0, col] (planes (4,)) and others holds the
+    planes (4, n) of w[b, b ^ col] for b = qubit_bits(n); c is the four
     coefficients of c over w's denominator.
 
-    Column x gives the X part of every qubit.  Each w[b, b ^ x] must be
-    +-w[0, x], and the sign gives qubit q's Z part; otherwise None.  The
+    Column col gives the X part of every qubit.  Each w[b, b ^ col] must be
+    +-w[0, col], and the sign gives qubit q's Z part; otherwise None.  The
     caller confirms the candidate.
     """
     n = others.shape[1]
     neg = (others == -head[:, None]).all(axis=0)
     if not (neg | (others == head[:, None]).all(axis=0)).all():
         return None
-    flip = (qubit_bits(n) & x) != 0
-    v = tuple(b for pair in zip((flip ^ neg).tolist(), neg.tolist()) for b in map(int, pair))
+    flip = (qubit_bits(n) & col) != 0
+    # qubit q's pair (X, Z) is (flip ^ neg, neg), at bits 2q and 2q + 1
+    x = sum(pair << 2 * q for q, pair in enumerate(((flip ^ neg) + 2 * neg).tolist()))
     c = head.tolist()
-    for _ in range(-int(_pauli_sparse_cached(v)[1][0]) % 4):
+    for _ in range(-int(pauli_sparse(x, n)[1][0]) % 4):
         c = [-c[2], -c[3], c[0], c[1]]  # times i
-    return v, c
+    return x, c
 
 
-def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[tuple[int, ...], CycScalar]]:
-    """Exact expansion of mat in the sigma_v basis via trace inner products.
+def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[int, CycScalar]]:
+    """Exact expansion of mat in the sigma_x basis via trace inner products.
 
-    Returns the nonzero coefficients [(v, c)] with mat = sum c * sigma_v.
-    It costs 4^n gathers; clifford_check reads a matrix that is one Pauli
-    term faster with read_term, so the library expands only to report a
-    non-Clifford witness.
+    Returns the nonzero coefficients [(x, c)] with mat = sum c * sigma_x,
+    in increasing x.  It costs 4^n gathers; clifford_check reads a matrix
+    that is one Pauli term faster with read_term, so the library expands
+    only to report a non-Clifford witness.
     """
     d = mat.dim
     n = d.bit_length() - 1
     if 2 ** n != d:
         raise ValueError("dimension must be a power of two")
     out = []
-    for idx in range(4 ** n):
-        v = tuple((idx >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
-        perm, ipow = _pauli_sparse_cached(v)
-        # tr(sigma_v^dagger mat) = sum_r i^(-ipow[r]) mat[r, perm[r]]
+    for x in range(4 ** n):
+        perm, ipow = pauli_sparse(x, n)
+        # tr(sigma_x^dagger mat) = sum_r i^(-ipow[r]) mat[r, perm[r]]
         s = _times_ipow(mat.planes[:, np.arange(d), perm], -ipow).sum(axis=1)
         c = CycScalar(int(s[0]), int(s[1]), int(s[2]), int(s[3]), mat.k + n)
         if not c.is_zero():
-            out.append((v, c))
+            out.append((x, c))
     return out

@@ -23,7 +23,7 @@ import numpy as np
 from .gf2 import BitMatrix, StabiliserChain, is_symplectic
 from .matrix import DenseMatrix, _product
 from .pauli import (pauli_basis_decompose, pauli_columns, pauli_sparse, phased_row_index,
-                    qubit_bits, read_term, signed_rows)
+                    qubit_bits, read_term, signed_rows, vector_text)
 from .ring import CycScalar, zfold
 
 
@@ -42,13 +42,16 @@ class CliffordAction:
 class NonClifford:
     """Witness that conjugation of one generator leaves the Pauli group."""
 
-    generator: tuple[int, ...]
-    expansion: tuple[tuple[tuple[int, ...], list], ...]
+    n_qubits: int
+    generator: int
+    expansion: tuple[tuple[int, list], ...]
 
     def to_json_dict(self) -> dict:
+        # the terms are listed in the order of their 0/1 strings
+        terms = sorted((vector_text(x, self.n_qubits), c) for x, c in self.expansion)
         return {
-            "witness": "".join(map(str, self.generator)),
-            "terms": [{"v": "".join(map(str, v)), "coeff": c} for v, c in self.expansion],
+            "witness": vector_text(self.generator, self.n_qubits),
+            "terms": [{"v": v, "coeff": c} for v, c in terms],
         }
 
 
@@ -74,8 +77,7 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     if 2 ** n != d:
         raise ValueError("dimension must be a power of two")
     udag = u.dagger()
-    gens = [tuple(1 if b == g else 0 for b in range(2 * n)) for g in range(2 * n)]
-    u_sigmas = pauli_columns(u, gens)
+    u_sigmas = pauli_columns(u, [1 << g for g in range(2 * n)])
     # row 0 of every W_g = U sigma_g U^dagger, and in it the column x_g of
     # the first nonzero entry
     row0 = _product(u_sigmas[:, :, :1, :], udag.planes, u._maxabs, u._maxabs)[:, :, 0, :]
@@ -90,7 +92,7 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     u_rows = signed_rows(u.planes)
     cols = []
     phases = []
-    for g, v in enumerate(gens):
+    for g in range(2 * n):
         m = None
         x = int(xs[g])
         term = read_term(row0[g, :, x], others[g], x) if nonzero[g].sum() == 1 else None
@@ -98,17 +100,17 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
             tv, c = term
             m = CycScalar(*c, 2 * u.k).ipower()
         if m is not None:
-            perm, ipow = pauli_sparse(tv)
+            perm, ipow = pauli_sparse(tv, n)
             if not np.array_equal(u_sigmas[g], u_rows[phased_row_index(perm, ipow + m)]):
                 m = None
         if m is None:
             w = DenseMatrix(u_sigmas[g], u.k, _normalized=True) @ udag
-            return NonClifford(v, tuple((tv, c.to_list()) for tv, c in pauli_basis_decompose(w)))
+            return NonClifford(n, 1 << g, tuple((tx, c.to_list())
+                                                for tx, c in pauli_basis_decompose(w)))
         cols.append(tv)
         phases.append(m)
-    s = BitMatrix(2 * n, tuple(
-        sum(cols[g][i] << g for g in range(2 * n)) for i in range(2 * n)
-    ))
+    # column g of S is the image of the generator vector 1 << g
+    s = BitMatrix(2 * n, tuple(cols)).transpose()
     if not is_symplectic(s):
         raise RuntimeError("Clifford image failed the symplectic relation")
     return CliffordAction(s, tuple(phases))

@@ -8,7 +8,10 @@ from the Pauli images of the bilinears G_a = gamma_a gamma_(a+1) and
 fixed up to the global flip; for n >= 2 it names the projective class.
 For n = 1, where gamma_1 gamma_2 and gamma_3 gamma_4 are one Pauli up to
 phase, the three Paulis take the part of the modes.  That reading is made
-once per target, and every route below starts from it.
+once per target, and every route below starts from it.  The Pauli
+elements are pauli.PauliElement on the one packed vector encoding (v_i in
+bit i) that the symplectic images act on, so their product rule lives in
+pauli.py only.
 
 synthesize() is a breadth-first search over those signed permutations, so
 it returns words of minimal letter count; ties are broken toward the
@@ -35,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import factorial
+from operator import mul
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .gates import swap_gate
 from .gf2 import BitMatrix, StabiliserChain
 from .groups import EnumerationCapExceeded
 from .matrix import DenseMatrix
+from .pauli import PauliElement
 from .symplectic import (CliffordAction, NonClifford, braid_symplectic, clifford_check,
                          group_orders, sp_order, symmetric_degree)
 
@@ -94,48 +99,25 @@ def _letters_to_word(letters) -> BraidWord:
     return BraidWord(tuple((abs(x), 1 if x > 0 else -1) for x in letters))
 
 
-# bits 0, 2, 4, ... of a packed Pauli vector: the sigma1 slot of each qubit
-_EVEN = int("01" * 64, 2)
-
-
-def _pack(v) -> int:
-    """A Pauli vector as an int, v_i in bit i (as BitMatrix.mul_vec reads it)."""
-    return sum(bit << i for i, bit in enumerate(v))
-
-
-def _times(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    """The product of Pauli elements i^m sigma_x held as (m, packed x), by
-    the rule of pauli.PauliElement: sigma_p sigma_q = (-1)^(p*q) sigma_(p^q)
-    with p*q = sum_i p_(2i) q_(2i-1)."""
-    (m, x), (k, y) = p, q
-    return (m + k + 2 * ((x >> 1) & y & _EVEN).bit_count()) % 4, x ^ y
-
-
-def _exchange_paulis(ctx: RepContext) -> dict[int, tuple[int, int]]:
-    """G_j = gamma_j gamma_(j+1) = i R_j^2 as (m, packed x): i times the
-    Pauli that square_formulas gives for R_j^2 (its sign follows the
-    parity)."""
-    return {j: ((p.m + 1) % 4, _pack(p.v)) for j, p in square_formulas(ctx)}
-
-
 @lru_cache(maxsize=None)
 def _bilinears(ctx: RepContext) -> dict[int, tuple[tuple[int, ...], int]]:
     """The Majorana bilinears of ctx as exact Pauli elements i^m sigma_x:
-    packed x -> (the points the bilinear names, m).
+    x -> (the points the bilinear names, m).
 
-    For n >= 2 the pair (a, b) names gamma_a gamma_b = G_a ... G_(b-1).  For
-    n = 1 complementary pairs are one Pauli up to phase, so the points are
-    the three elements G_2, G_1 G_2 and G_1 themselves.  Every printed S_j
-    is checked to permute the vectors, so an image that sends one outside
-    them is certified to lie outside <S_j>.
+    For n >= 2 the pair (a, b) names gamma_a gamma_b = G_a ... G_(b-1),
+    where G_j = gamma_j gamma_(j+1) = i R_j^2 is i times the Pauli that
+    square_formulas gives.  For n = 1 complementary pairs are one Pauli up
+    to phase, so the points are the three elements G_2, G_1 G_2 and G_1
+    themselves.  Every printed S_j is checked to permute the vectors, so an
+    image that sends one outside them is certified to lie outside <S_j>.
     """
-    g = _exchange_paulis(ctx)
+    g = {j: PauliElement(p.m + 1, p.x, ctx.n_qubits) for j, p in square_formulas(ctx)}
     if ctx.n_qubits == 1:
-        items = [((1,), g[2]), ((2,), _times(g[1], g[2])), ((3,), g[1])]
+        items = [((1,), g[2]), ((2,), g[1] * g[2]), ((3,), g[1])]
     else:
-        items = [((a, b), reduce(_times, (g[k] for k in range(a, b))))
+        items = [((a, b), reduce(mul, (g[k] for k in range(a, b))))
                  for a, b in combinations(range(1, ctx.strands + 1), 2)]
-    table = {x: (points, m) for points, (m, x) in items}
+    table = {p.x: (points, p.m) for points, p in items}
     for j in range(1, ctx.generator_count + 1):
         s = braid_symplectic(ctx.n_qubits, j)
         if any(s.mul_vec(x) not in table for x in table):
@@ -144,10 +126,10 @@ def _bilinears(ctx: RepContext) -> dict[int, tuple[tuple[int, ...], int]]:
 
 
 def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...] | None:
-    """The signed permutation of a conjugation map conj (a function of
-    Pauli elements held as (m, packed x)): entry a is +-b when
-    conj(gamma_a) = +-gamma_b, or None when conj sends a bilinear's vector
-    outside the bilinears' (no signed permutation: an obstruction).
+    """The signed permutation of a conjugation map conj on PauliElements:
+    entry a is +-b when conj(gamma_a) = +-gamma_b, or None when conj sends
+    a bilinear's vector outside the bilinears' (no signed permutation: an
+    obstruction).
 
     For n >= 2 it is read from the images of the 2n+1 adjacent G_a, and
     normalised so that mode 1 keeps its sign (conjugation fixes a signed
@@ -161,14 +143,14 @@ def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...] | None:
     for x, (named, m) in table.items():
         if len(named) == 2 and named[1] != named[0] + 1:
             continue
-        k, y = conj((m, x))
-        hit = table.get(y)
+        image = conj(PauliElement(m, x, ctx.n_qubits))
+        hit = table.get(image.x)
         if hit is None:
             return None
-        if (k - hit[1]) % 2:
+        if (image.m - hit[1]) % 2:
             raise RuntimeError("a Majorana bilinear maps outside +- the bilinears")
         points.append(hit[0])
-        signs.append((k - hit[1]) % 4 // 2)
+        signs.append((image.m - hit[1]) % 4 // 2)
     if ctx.n_qubits == 1:
         perm = [p for (p,) in points]
     else:
@@ -189,16 +171,15 @@ def _signed_majorana(ctx: RepContext, conj) -> tuple[int, ...] | None:
 
 
 def _action_conjugator(act: CliffordAction):
-    """P -> U P U^dagger on Pauli elements (m, packed x), from U's
-    CliffordAction: sigma_x is the ordered product of the generator Paulis
-    sigma_(e_g) with bit g set, and U sigma_(e_g) U^dagger = i^f_g
-    sigma_(S e_g)."""
-    images = [(f, sum(((r >> g) & 1) << i for i, r in enumerate(act.s.rows)))
-              for g, f in enumerate(act.f)]
+    """P -> U P U^dagger on PauliElements, from U's CliffordAction: sigma_x
+    is the ordered product of the generator Paulis sigma_(1 << g) with bit
+    g set in x, and U sigma_(1 << g) U^dagger = i^f_g sigma_(S (1 << g))."""
+    n = act.s.n // 2
+    images = [PauliElement(f, act.s.mul_vec(1 << g), n) for g, f in enumerate(act.f)]
 
-    def conj(p: tuple[int, int]) -> tuple[int, int]:
-        m, x = p
-        return reduce(_times, (image for g, image in enumerate(images) if x >> g & 1), (m, 0))
+    def conj(p: PauliElement) -> PauliElement:
+        return reduce(mul, (image for g, image in enumerate(images) if p.x >> g & 1),
+                      PauliElement(p.m, 0, n))
     return conj
 
 
@@ -207,19 +188,18 @@ def _move_tables(ctx: RepContext) -> tuple[np.ndarray, np.ndarray]:
     """(perm, flip), each (M, K): the M moves R_1, R_1^(-1), R_2, ... as
     signed permutations of the K points, read by _signed_majorana from the
     letter rule on Pauli elements.  R_j P R_j^dagger is P when P commutes
-    with G_j and P G_j otherwise; for R_j^(-1) it is -P G_j.  For n >= 2
-    each move must follow Ivanov's rule up to the global flip: R_j sends
-    gamma_j to gamma_(j+1) and gamma_(j+1) to -gamma_j, R_j^(-1) the
+    with G_j = i R_j^2 and P G_j otherwise; for R_j^(-1) it is -P G_j.  For
+    n >= 2 each move must follow Ivanov's rule up to the global flip: R_j
+    sends gamma_j to gamma_(j+1) and gamma_(j+1) to -gamma_j, R_j^(-1) the
     reverse, and every other mode is fixed."""
-    g = _exchange_paulis(ctx)
     rows = []
-    for j in range(1, ctx.generator_count + 1):
+    for j, square in square_formulas(ctx):
         for inverse in (False, True):
-            def conj(p, gj=g[j], twist=2 * inverse):
-                pg = _times(p, gj)
-                if pg == _times(gj, p):
+            def conj(p, square=square, i_power=3 if inverse else 1):
+                if p.commutes_with(square):
                     return p
-                return (pg[0] + twist) % 4, pg[1]
+                ps = p * square
+                return PauliElement(ps.m + i_power, ps.x, ps.n_qubits)
             signed = _signed_majorana(ctx, conj)
             ivanov = list(range(1, ctx.strands + 1))
             ivanov[j - 1:j + 1] = (-(j + 1), j) if inverse else (j + 1, -j)
@@ -265,17 +245,13 @@ def _sort_letters(signed) -> list[int]:
 
 
 def _phase_power(ctx: RepContext, word: BraidWord, target: DenseMatrix) -> int:
-    """p with eval(word) = z^p * target, re-verified exactly (projective
-    canonical forms first); RuntimeError when the word misses the target."""
+    """p with eval(word) = z^p * target, re-verified exactly; RuntimeError
+    when no z-power fits."""
     ev = eval_word(ctx, word)
-    t_ev, ev_canon = ev.projective_canonical()
-    t_target, target_canon = target.projective_canonical()
-    if ev_canon != target_canon:
-        raise RuntimeError("synthesized word failed projective re-verification")
-    p = (t_ev - t_target) % 8
-    if ev != target.mul_zeta(p):
-        raise RuntimeError("synthesized word failed re-verification")
-    return p
+    for p in range(8):
+        if ev == target.mul_zeta(p):
+            return p
+    raise RuntimeError("synthesized word failed re-verification")
 
 
 def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:

@@ -25,10 +25,10 @@ def sp_bruteforce_order(n: int) -> int:
     return count
 
 
-def pauli_term(mat: DenseMatrix) -> tuple[tuple[int, ...], CycScalar] | None:
-    """(v, c) when mat == c * sigma_v exactly, otherwise None: read_term's
+def pauli_term(mat: DenseMatrix) -> tuple[int, CycScalar] | None:
+    """(x, c) when mat == c * sigma_x exactly, otherwise None: read_term's
     candidate, confirmed against every entry of the sparse (perm, ipow) form
-    of sigma_v."""
+    of sigma_x."""
     d = mat.dim
     n = d.bit_length() - 1
     if 2 ** n != d:
@@ -37,17 +37,17 @@ def pauli_term(mat: DenseMatrix) -> tuple[tuple[int, ...], CycScalar] | None:
     row0 = np.flatnonzero(planes[:, 0, :].any(axis=0))
     if len(row0) != 1:
         return None
-    x = int(row0[0])
+    col = int(row0[0])
     bits = qubit_bits(n)
-    term = read_term(planes[:, 0, x], planes[:, bits, bits ^ x], x)
+    term = read_term(planes[:, 0, col], planes[:, bits, bits ^ col], col)
     if term is None:
         return None
-    v, c = term
-    perm, ipow = pauli_sparse(v)
+    x, c = term
+    perm, ipow = pauli_sparse(x, n)
     # every mat[r, perm[r]] equals c * i^ipow[r], which is nonzero, and
     # no other entry is nonzero
     if (not np.array_equal(planes[:, np.arange(d), perm],
                            _times_ipow(np.array(c)[:, None], ipow))
             or np.count_nonzero(planes.any(axis=0)) != d):
         return None
-    return v, CycScalar(*c, mat.k)
+    return x, CycScalar(*c, mat.k)

@@ -181,7 +181,7 @@ def _majorana_pair_vectors(ctx: RepContext) -> dict[int, tuple[int, int]]:
     """The Pauli vectors x_ab = w_a + ... + w_(b-1) of the Majorana pair
     operators gamma_a gamma_b, 1 <= a < b <= 2n+2, keyed to (a, b); w_j is
     the vector of the Pauli that square_formulas gives for R_j^2."""
-    w = {j: sum(bit << i for i, bit in enumerate(p.v)) for j, p in square_formulas(ctx)}
+    w = {j: p.x for j, p in square_formulas(ctx)}
     pairs = {}
     for a, b in combinations(range(1, ctx.strands + 1), 2):
         pairs[reduce(xor, (w[k] for k in range(a, b)))] = (a, b)

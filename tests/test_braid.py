@@ -103,6 +103,8 @@ def test_word_parsing_roundtrip():
         BraidWord(((1, 0),))
     with pytest.raises(ValueError):
         BraidWord.from_text("1 0 2")
+    with pytest.raises(ValueError, match="bad braid letter 'x'"):
+        BraidWord.from_text("1 x")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -356,7 +358,7 @@ def test_exchange_table_is_i_times_square(n, parity):
     ctx = RepContext(n, parity)
     for j, pel in square_formulas(ctx):
         perm, ipow = exchange_table(ctx, j)
-        want = PauliElement(pel.m + 1, pel.v).to_matrix()
+        want = PauliElement(pel.m + 1, pel.x, n).to_matrix()
         assert want == DenseMatrix.from_entries(
             [[I_UNIT.mul_zeta(2 * int(ipow[r]) - 2) if c == perm[r] else 0
               for c in range(ctx.dim)] for r in range(ctx.dim)])

@@ -177,6 +177,9 @@ def test_fusion(capsys):
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(capsys, "synth", "--n", "2", "--target", "warp:1")[0] == 2
     assert run_cli(capsys, "eval-word", "--n", "1", "--word", "7")[0] == 2
+    for word in ("1 x", "1 3 -x5"):
+        assert run_cli(capsys, "eval-word", "--n", "2", "--word", word) == \
+            (2, "", f"error: bad braid letter {word.split()[-1]!r}\n")
     for argv in (["reach", "--n", "3", "--target", "h:0"],
                  ["reach", "--n", "3", "--target", "h:4"],
                  ["synth", "--n", "1", "--target", "h:1", "--max-depth", "-1"],
@@ -207,7 +210,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           (["gen-matrix", "--n", "1"],
                            "error: one of the arguments --generator --gate is required"),
                           (["gen-matrix", "--n", "1", "--generator", "1", "--gate", "phase"],
-                           "error: argument --gate: not allowed with argument --generator")):
+                           "error: argument --gate: not allowed with argument --generator"),
+                          # R_j P is a projection, so a projected word is never unitary
+                          (["clifford-check", "--n", "2", "--word", "1", "--form", "projected"],
+                           "error: argument --form: invalid choice: 'projected' "
+                           "(choose from 'compressed', 'unprojected')")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -273,6 +280,10 @@ GOLDEN_RUNS = (
     # captured before the BFS expanded its states by the letter rule: the
     # n = 3 block shape (d = 8, 14 moves)
     (["synth", "--n", "3", "--target", "x:3", "--max-depth", "6"], 0, "synth_n3_x3.json"),
+    # captured before Pauli vectors became packed ints: CCZ's witness expands
+    # into four terms, which pins the order of "terms"
+    (["clifford-check", "--n", "3", "--target", f"file:{GOLDEN_DIR / 'ccz_n3.json'}"], 1,
+     "clifford_check_n3_ccz.json"),
 )
 
 

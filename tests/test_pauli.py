@@ -19,32 +19,33 @@ from oracles import pauli_term
 EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def rand_pauli(rng, n):
-    return PauliElement(rng.randrange(4), tuple(rng.randrange(2) for _ in range(2 * n)))
+def rand_pauli(rng, n, high=False):
+    """A random i^m sigma_x; with high, x sets its top bit 2n - 1."""
+    return PauliElement(rng.randrange(4), rng.randrange(4 ** n) | high << 2 * n - 1, n)
 
 
 def test_vector_encoding_matches_matrices():
     from anyonbraid.gamma import SIGMA1, SIGMA2, SIGMA3
     ident = DenseMatrix.identity(2)
-    assert pauli_vector_matrix((0, 0)) == ident
-    assert pauli_vector_matrix((1, 0)) == SIGMA1
-    assert pauli_vector_matrix((0, 1)) == SIGMA2
-    assert pauli_vector_matrix((1, 1)) == SIGMA3.mul_zeta(2)  # i*sigma3
+    assert pauli_vector_matrix(0b00, 1) == ident
+    assert pauli_vector_matrix(0b01, 1) == SIGMA1
+    assert pauli_vector_matrix(0b10, 1) == SIGMA2
+    assert pauli_vector_matrix(0b11, 1) == SIGMA3.mul_zeta(2)  # i*sigma3
 
 
 def test_single_qubit_products():
-    s1 = PauliElement(0, (1, 0))
-    s2 = PauliElement(0, (0, 1))
-    is3 = PauliElement(0, (1, 1))
+    s1 = PauliElement(0, 0b01, 1)
+    s2 = PauliElement(0, 0b10, 1)
+    is3 = PauliElement(0, 0b11, 1)
     # sigma1 sigma2 = i sigma3 and sigma2 sigma1 = -i sigma3
     assert s1 * s2 == is3
-    assert s2 * s1 == PauliElement(2, (1, 1))
+    assert s2 * s1 == PauliElement(2, 0b11, 1)
     # sigma2 * (i sigma3) = -sigma1 and (i sigma3) * sigma2 = +sigma1:
     # the formula sigma_p sigma_q = (-1)^(p*q) sigma_(p xor q) with the
     # standard Pauli matrices fixes these signs (checked against exact
     # matrix products below)
-    assert s2 * is3 == PauliElement(2, (1, 0))
-    assert is3 * s2 == PauliElement(0, (1, 0))
+    assert s2 * is3 == PauliElement(2, 0b01, 1)
+    assert is3 * s2 == PauliElement(0, 0b01, 1)
     for a in (s1, s2, is3):
         for b in (s1, s2, is3):
             assert (a * b).to_matrix() == a.to_matrix() @ b.to_matrix()
@@ -52,9 +53,9 @@ def test_single_qubit_products():
 
 def test_mul_matches_matrix_mul_random():
     rng = random.Random(31)
-    for n in (1, 2, 3, 4):
-        for _ in range(25):
-            a, b = rand_pauli(rng, n), rand_pauli(rng, n)
+    for n in (1, 2, 3, 4, 5):
+        for i in range(25):
+            a, b = rand_pauli(rng, n, high=i % 2 == 0), rand_pauli(rng, n, high=i % 3 == 0)
             assert (a * b).to_matrix() == a.to_matrix() @ b.to_matrix()
 
 
@@ -70,29 +71,32 @@ def test_inverse_and_identity():
 
 
 def test_symplectic_form_examples():
-    assert symplectic_form((1, 0), (0, 1)) == 1          # sigma1 vs sigma2
-    assert symplectic_form((1, 1), (1, 1)) == 0          # omega(p, p) = 0
-    assert symplectic_form((1, 0, 0, 0), (0, 0, 0, 1)) == 0   # disjoint support
+    assert symplectic_form(0b01, 0b10) == 1          # sigma1 vs sigma2
+    assert symplectic_form(0b11, 0b11) == 0          # omega(p, p) = 0
+    assert symplectic_form(0b0001, 0b1000) == 0      # disjoint support
     with pytest.raises(ValueError):
-        symplectic_form((1, 0), (1, 0, 0, 0))
+        PauliElement(0, 0b01, 1) * PauliElement(0, 0b01, 2)
+    with pytest.raises(ValueError):
+        PauliElement(0, 0b100, 1)                    # wider than 2n bits
 
 
 def test_symplectic_form_detects_commutation():
     rng = random.Random(33)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         zero = DenseMatrix.zeros(2 ** n)
-        for _ in range(25):
-            a, b = rand_pauli(rng, n), rand_pauli(rng, n)
+        for i in range(25):
+            a, b = rand_pauli(rng, n, high=i % 2 == 0), rand_pauli(rng, n, high=i % 3 == 0)
             ma, mb = a.to_matrix(), b.to_matrix()
             commutes = (ma @ mb - mb @ ma) == zero
-            assert commutes == (symplectic_form(a.v, b.v) == 0)
+            assert commutes == (symplectic_form(a.x, b.x) == 0)
             assert a.commutes_with(b) == commutes
 
 
 def test_star_product_convention():
-    # p*q = sum p_2i q_2i-1 in 1-based labels
-    assert star_product((0, 1), (1, 0)) == 1
-    assert star_product((1, 0), (0, 1)) == 0
+    # p*q = sum_i p_(2i+1) q_(2i), bits counted from 0
+    assert star_product(0b10, 0b01) == 1
+    assert star_product(0b01, 0b10) == 0
+    assert star_product(0b10 << 8, 0b01 << 8) == 1
 
 
 def test_single_constructor():
@@ -100,7 +104,7 @@ def test_single_constructor():
     from anyonbraid.gamma import SIGMA3
     assert s3.to_matrix() == SIGMA3
     s2q2 = PauliElement.single(3, 2, 2)
-    assert s2q2.v == (0, 0, 0, 1, 0, 0)
+    assert s2q2.x == 0b001000
     with pytest.raises(IndexError):
         PauliElement.single(2, 3, 1)
 
@@ -110,14 +114,14 @@ def test_decomposition_roundtrip():
     for n in (1, 2):
         terms = {}
         for _ in range(3):
-            v = tuple(rng.randrange(2) for _ in range(2 * n))
+            v = rng.randrange(4 ** n)
             c = CycScalar(rng.randint(-3, 3), rng.randint(-3, 3),
                           rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(0, 2))
             if not c.is_zero():
                 terms[v] = terms.get(v, CycScalar(0)) + c
         mat = DenseMatrix.zeros(2 ** n)
         for v, c in terms.items():
-            mat = mat + pauli_vector_matrix(v).scale(c)
+            mat = mat + pauli_vector_matrix(v, n).scale(c)
         got = dict(pauli_basis_decompose(mat))
         want = {v: c for v, c in terms.items() if not c.is_zero()}
         assert got == want
@@ -151,18 +155,18 @@ def clifford_check_by_expansion(u: DenseMatrix):
     udag = u.dagger()
     cols, phases = [], []
     for g in range(2 * n):
-        v = tuple(1 if b == g else 0 for b in range(2 * n))
-        terms = pauli_basis_decompose(u @ pauli_vector_matrix(v) @ udag)
+        v = 1 << g
+        terms = pauli_basis_decompose(u @ pauli_vector_matrix(v, n) @ udag)
         if len(terms) != 1:
-            return NonClifford(v, tuple((tv, c.to_list()) for tv, c in terms))
+            return NonClifford(n, v, tuple((tv, c.to_list()) for tv, c in terms))
         tv, c = terms[0]
         m = c.ipower()
         if m is None:
-            return NonClifford(v, ((tv, c.to_list()),))
+            return NonClifford(n, v, ((tv, c.to_list()),))
         cols.append(tv)
         phases.append(m)
     s = BitMatrix(2 * n, tuple(
-        sum(cols[g][i] << g for g in range(2 * n)) for i in range(2 * n)
+        sum((cols[g] >> i & 1) << g for g in range(2 * n)) for i in range(2 * n)
     ))
     return CliffordAction(s, tuple(phases))
 
@@ -173,8 +177,8 @@ def test_pauli_term_agrees_with_expansion(u):
     n = u.dim.bit_length() - 1
     udag = u.dagger()
     for g in range(2 * n):
-        v = tuple(1 if b == g else 0 for b in range(2 * n))
-        u_sigma = u @ pauli_vector_matrix(v)
+        v = 1 << g
+        u_sigma = u @ pauli_vector_matrix(v, n)
         assert DenseMatrix(pauli_columns(u, [v])[0], u.k) == u_sigma
         w = u_sigma @ udag
         terms = pauli_basis_decompose(w)
@@ -189,19 +193,19 @@ def test_clifford_check_matches_expansion_oracle(u):
 
 @EXACT
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n),
+    st.just(n), st.integers(0, 4 ** n - 1),
     st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(0, 3))))
 def test_pauli_term_reads_scaled_paulis(data):
-    v, coeffs, k = data
+    n, x, coeffs, k = data
     c = CycScalar(*coeffs, k)
-    got = pauli_term(pauli_vector_matrix(v).scale(c))
-    assert got == (None if c.is_zero() else (tuple(v), c))
+    got = pauli_term(pauli_vector_matrix(x, n).scale(c))
+    assert got == (None if c.is_zero() else (x, c))
 
 
 def test_pauli_term_rejects_non_terms():
     h = hadamard_gate(1, 1)
     not_terms = [
-        DenseMatrix.identity(2) + pauli_vector_matrix((1, 1)),      # two terms
+        DenseMatrix.identity(2) + pauli_vector_matrix(0b11, 1),     # two terms
         DenseMatrix.from_entries([[ONE, 0], [0, ZETA]]),             # diag(1, z)
         DenseMatrix.from_entries([[0, 0], [0, 1]]),                  # row 0 zero
         DenseMatrix.zeros(4),
@@ -209,7 +213,7 @@ def test_pauli_term_rejects_non_terms():
         cz_gate(2, 1, 2),             # passes the per-qubit reading, fails row 3
         swap_gate(2, 1, 2),                                          # monomial, not Pauli
         DenseMatrix.from_entries([[0, 1], [1, 1]]),                  # sigma1 plus an entry
-        h @ pauli_vector_matrix((1, 0)) @ h.dagger() + pauli_vector_matrix((1, 0)),
+        h @ pauli_vector_matrix(0b01, 1) @ h.dagger() + pauli_vector_matrix(0b01, 1),
     ]
     for mat in not_terms:
         assert pauli_term(mat) is None
@@ -218,14 +222,13 @@ def test_pauli_term_rejects_non_terms():
         pauli_term(DenseMatrix.identity(3))
 
 
-def pauli_sparse_by_loop(v):
+def pauli_sparse_by_loop(x, n):
     """The per-row loop that built the sparse Pauli tables: the oracle."""
-    n = len(v) // 2
     perm, ipow = [], []
     for r in range(2 ** n):
         c, e = r, 0
         for q in range(n):
-            b1, b2 = v[2 * q], v[2 * q + 1]
+            b1, b2 = (x >> 2 * q) & 1, (x >> 2 * q + 1) & 1
             bit = (r >> (n - 1 - q)) & 1
             if b1 and b2:        # i*sigma3: diag(i, -i)
                 e += 1 if bit == 0 else 3
@@ -241,10 +244,9 @@ def pauli_sparse_by_loop(v):
 
 def test_pauli_sparse_matches_loop():
     for n in (1, 2, 3):
-        for idx in range(4 ** n):
-            v = tuple((idx >> (2 * n - 1 - b)) & 1 for b in range(2 * n))
-            perm, ipow = pauli_sparse(v)
-            assert (perm.tolist(), ipow.tolist()) == pauli_sparse_by_loop(v)
+        for x in range(4 ** n):
+            perm, ipow = pauli_sparse(x, n)
+            assert (perm.tolist(), ipow.tolist()) == pauli_sparse_by_loop(x, n)
 
 
 def clifford_check_by_dense_products(u: DenseMatrix):
@@ -256,19 +258,19 @@ def clifford_check_by_dense_products(u: DenseMatrix):
     udag = u.dagger()
     cols, phases = [], []
     for g in range(2 * n):
-        v = tuple(1 if b == g else 0 for b in range(2 * n))
-        w = u @ pauli_vector_matrix(v) @ udag
+        v = 1 << g
+        w = u @ pauli_vector_matrix(v, n) @ udag
         term = pauli_term(w)
         if term is None:
-            return NonClifford(v, tuple((tv, c.to_list()) for tv, c in pauli_basis_decompose(w)))
+            return NonClifford(n, v, tuple((tv, c.to_list()) for tv, c in pauli_basis_decompose(w)))
         tv, c = term
         m = c.ipower()
         if m is None:
-            return NonClifford(v, ((tv, c.to_list()),))
+            return NonClifford(n, v, ((tv, c.to_list()),))
         cols.append(tv)
         phases.append(m)
     s = BitMatrix(2 * n, tuple(
-        sum(cols[g][i] << g for g in range(2 * n)) for i in range(2 * n)
+        sum((cols[g] >> i & 1) << g for g in range(2 * n)) for i in range(2 * n)
     ))
     return CliffordAction(s, tuple(phases))
 
@@ -278,21 +280,21 @@ def failing_stage(u: DenseMatrix) -> str | None:
     whose image is not an i-power Pauli fails, from the full W."""
     n = u.dim.bit_length() - 1
     for g in range(2 * n):
-        v = tuple(1 if b == g else 0 for b in range(2 * n))
-        w = u @ pauli_vector_matrix(v) @ u.dagger()
+        v = 1 << g
+        w = u @ pauli_vector_matrix(v, n) @ u.dagger()
         row0 = [x for x in range(w.dim) if not w.entry(0, x).is_zero()]
         if len(row0) != 1:
             return "row 0"
-        x = row0[0]
+        col = row0[0]
         bits = qubit_bits(n)
-        term = read_term(w.planes[:, 0, x], w.planes[:, bits, bits ^ x], x)
+        term = read_term(w.planes[:, 0, col], w.planes[:, bits, bits ^ col], col)
         if term is None:
             return "z sign"
         tv, c = term
         m = CycScalar(*c, w.k).ipower()
         if m is None:
             return "i-power"
-        if w != pauli_vector_matrix(tv).mul_zeta(2 * m):
+        if w != pauli_vector_matrix(tv, n).mul_zeta(2 * m):
             return "confirm"
     return None
 

@@ -533,27 +533,31 @@ def test_signed_permutation_is_a_homomorphism(data):
 
 @EXACT
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n)),
+    st.builds(PauliElement, st.integers(0, 3), st.integers(0, 4 ** n - 1), st.just(n)),
     min_size=2, max_size=2)))
 def test_packed_pauli_product_matches_pauli_element(pair):
-    (m, v), (k, w) = pair
-    want = PauliElement(m, tuple(v)) * PauliElement(k, tuple(w))
-    assert synth._times((m, synth._pack(v)), (k, synth._pack(w))) == \
-        (want.m, synth._pack(want.v))
+    # the one product rule that the synthesis reads letters with, on packed
+    # vectors up to bit 2n - 1, against the exact matrix product
+    a, b = pair
+    assert (a * b).to_matrix() == a.to_matrix() @ b.to_matrix()
 
 
 def test_reader_rejects_non_permutations():
+    def bilinear(ctx, points):
+        return next(PauliElement(m, x, ctx.n_qubits)
+                    for x, (named, m) in synth._bilinears(ctx).items() if named == points)
+
     ctx = RepContext(2)
-    g = synth._exchange_paulis(ctx)
+    g1 = bilinear(ctx, (1, 2))
     # the identity sends every bilinear's vector outside the bilinears: no
     # signed permutation, which reachability reports as an obstruction
-    assert synth._signed_majorana(ctx, lambda p: (0, 0)) is None
-    for conj, message in ((lambda p: ((p[0] + 1) % 4, p[1]), "outside"),  # i times
-                          (lambda p: g[1], "not a signed permutation")):
+    assert synth._signed_majorana(ctx, lambda p: PauliElement.identity(2)) is None
+    for conj, message in ((lambda p: PauliElement(p.m + 1, p.x, 2), "outside"),  # i times
+                          (lambda p: g1, "not a signed permutation")):
         with pytest.raises(RuntimeError, match=message):
             synth._signed_majorana(ctx, conj)
     ctx1 = RepContext(1)
-    point = synth._exchange_paulis(ctx1)[1]
+    point = bilinear(ctx1, (3,))
     with pytest.raises(RuntimeError, match="not a signed permutation"):
         synth._signed_majorana(ctx1, lambda p: point)
 
