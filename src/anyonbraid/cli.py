@@ -3,7 +3,9 @@
 Every subcommand writes JSON to stdout (or a text rendering with
 --format text) and is deterministic for fixed flags.  Exit codes: 0 on
 success, 1 when a verification-style command finds a failure, 2 on usage
-errors and on inputs too large to hold in memory.
+errors and on inputs too large to hold in memory.  COMMANDS is the one
+table of subcommands, and a call that names a command first builds only
+that command's parser.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .braid import FORMS, BraidWord, RepContext, eval_word, named_gate
+from .braid import FORMS, BraidWord, RepContext, braid_generator, eval_word, named_gate
 from .fusion import FusionLabel, count_paths, enumerate_paths
 from .gates import parse_gate_target
 from .groups import EnumerationCapExceeded, braid_image, monodromy_equals_pauli
@@ -38,6 +40,20 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
+def _common(p, parity=True, forms=(), pretty=False):
+    """Adds the options most commands share, --format last; returns p."""
+    p.add_argument("--n", type=int, required=True, help="number of qubits")
+    if parity:
+        p.add_argument("--parity", type=_parity, default=1)
+    if forms:
+        p.add_argument("--form", choices=forms, default="compressed")
+    if pretty:
+        p.add_argument("--pretty", action="store_true",
+                       help="add a complex-float rendering (display only)")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    return p
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
@@ -70,11 +86,16 @@ def _target_matrix(args, n: int) -> DenseMatrix:
     return parse_gate_target(n, args.target)
 
 
+def _gen_matrix_args(p) -> None:
+    which = _common(p, forms=FORMS, pretty=True).add_mutually_exclusive_group(required=True)
+    which.add_argument("--generator", type=int, help="braid generator index")
+    which.add_argument("--gate", choices=("phase", "hadamard_last", "cz_pair", "cz_swap_pair"))
+    p.add_argument("--qubit", type=int, default=1)
+
+
 def cmd_gen_matrix(args) -> int:
     ctx = RepContext(args.n, args.parity, args.form)
     if args.generator is not None:
-        from .braid import braid_generator
-
         mat = braid_generator(ctx, args.generator)
         _emit(args, _matrix_payload(mat, args.pretty))
         return 0
@@ -83,6 +104,11 @@ def cmd_gen_matrix(args) -> int:
     payload["word"] = word.to_text()
     _emit(args, payload)
     return 0
+
+
+def _eval_word_args(p) -> None:
+    _common(p, forms=FORMS, pretty=True).add_argument("--word", required=True,
+                                                      help='e.g. "1 3 -5"')
 
 
 def cmd_eval_word(args) -> int:
@@ -111,6 +137,12 @@ def cmd_orders(args) -> int:
     return 0
 
 
+def _enumerate_args(p) -> None:
+    _common(p).add_argument("--mode", choices=("strict", "projective"), default="strict")
+    p.add_argument("--heavy", action="store_true", help="allow n >= 3 enumeration")
+    p.add_argument("--dump-elements", action="store_true")
+
+
 def cmd_enumerate(args) -> int:
     if args.n >= 3 and not args.heavy:
         orders = group_orders(args.n)
@@ -135,24 +167,25 @@ def cmd_monodromy_check(args) -> int:
     return 0 if verdict.equal else 1
 
 
+# a projected word R_j P is a projection, never unitary, so never checked;
+# --form shapes a --word evaluation only, so its default is None
+def _clifford_check_args(p) -> None:
+    _common(p, forms=("compressed", "unprojected")).set_defaults(form=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--word")
+    which.add_argument("--target")
+
+
 def cmd_clifford_check(args) -> int:
-    ctx = RepContext(args.n, args.parity, args.form)
-    if args.word is not None:
-        mat = eval_word(ctx, BraidWord.from_text(args.word))
-    elif args.target is not None:
-        mat = _target_matrix(args, args.n)
-    else:
-        raise ValueError("clifford-check needs --word or --target")
+    if args.target is not None and args.form is not None:
+        raise ValueError("--form applies to --word only; a --target is taken as given")
+    ctx = RepContext(args.n, args.parity, args.form or "compressed")
+    mat = (eval_word(ctx, BraidWord.from_text(args.word)) if args.word is not None
+           else _target_matrix(args, args.n))
     act = clifford_check(mat)
-    if isinstance(act, CliffordAction):
-        payload = {"clifford": True}
-        payload.update(act.to_json_dict())
-        _emit(args, payload)
-        return 0
-    payload = {"clifford": False}
-    payload.update(act.to_json_dict())
-    _emit(args, payload)
-    return 1
+    clifford = isinstance(act, CliffordAction)
+    _emit(args, {"clifford": clifford, **act.to_json_dict()})
+    return 0 if clifford else 1
 
 
 def cmd_symplectic(args) -> int:
@@ -174,6 +207,14 @@ def cmd_faithfulness(args) -> int:
     return 0 if verdict.ok else 1
 
 
+def _synth_args(p) -> None:
+    _common(p).add_argument("--target", required=True,
+                            help="cz:1,2 | swap:1,2 | h:1 | p:1 | file:m.json")
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--heavy", action="store_true")
+
+
 def cmd_synth(args) -> int:
     ctx = RepContext(args.n, args.parity)
     target = _target_matrix(args, args.n)
@@ -191,10 +232,23 @@ def cmd_reach(args) -> int:
     return 0 if res.verdict == "reachable" else 1
 
 
+def _missing_gates_args(p) -> None:
+    _common(p, parity=False).add_argument(
+        "--check-generation", action="store_true",
+        help="verify braid + one SWAP generates the full symplectic group")
+
+
 def cmd_missing_gates(args) -> int:
     report = missing_gate_report(args.n, check_generation=args.check_generation)
     _emit(args, report.to_json_dict())
     return 0
+
+
+def _fusion_args(p) -> None:
+    p.add_argument("--num-sigma", type=int, required=True)
+    p.add_argument("--parity", type=_parity, default=1)
+    p.add_argument("--labels", action="store_true")
+    p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def cmd_fusion(args) -> int:
@@ -215,102 +269,48 @@ def cmd_fusion(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="anyonbraid",
-        description="Exact Ising-anyon braiding representations and their Clifford reach",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = {  # name: (help, adds the command's arguments, handler)
+    "gen-matrix": ("matrix of a generator or a named gate word", _gen_matrix_args, cmd_gen_matrix),
+    "eval-word": ("evaluate a braid word", _eval_word_args, cmd_eval_word),
+    "verify-relations": ("run the exact identity battery", lambda p: _common(p, parity=False),
+                         cmd_verify_relations),
+    "orders": ("closed-form group orders", lambda p: _common(p, parity=False), cmd_orders),
+    "enumerate": ("enumerate the braid image", _enumerate_args, cmd_enumerate),
+    "monodromy-check": ("monodromy image vs Pauli group", _common, cmd_monodromy_check),
+    "clifford-check": ("Clifford membership of a word or target", _clifford_check_args,
+                       cmd_clifford_check),
+    "symplectic": ("printed symplectic and tilde matrices", lambda p: _common(p, parity=False),
+                   cmd_symplectic),
+    "faithfulness": ("order of the symplectic subgroup", lambda p: _common(p, parity=False),
+                     cmd_faithfulness),
+    "synth": ("BFS for a braid word realizing a gate", _synth_args, cmd_synth),
+    "reach": ("reachability certificate for a gate",
+              lambda p: _common(p).add_argument("--target", required=True), cmd_reach),
+    "missing-gates": ("survey of unreachable SWAP embeddings", _missing_gates_args,
+                      cmd_missing_gates),
+    "fusion": ("fusion paths and qubit labels", _fusion_args, cmd_fusion),
+}
 
-    def common(p, parity=True, forms=(), pretty=False):
-        p.add_argument("--n", type=int, required=True, help="number of qubits")
-        if parity:
-            p.add_argument("--parity", type=_parity, default=1)
-        if forms:
-            p.add_argument("--form", choices=forms, default="compressed")
-        if pretty:
-            p.add_argument("--pretty", action="store_true",
-                           help="add a complex-float rendering (display only)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("gen-matrix", help="matrix of a generator or a named gate word")
-    common(p, forms=FORMS, pretty=True)
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--generator", type=int, help="braid generator index")
-    which.add_argument("--gate", choices=("phase", "hadamard_last", "cz_pair", "cz_swap_pair"))
-    p.add_argument("--qubit", type=int, default=1)
-    p.set_defaults(func=cmd_gen_matrix)
-
-    p = sub.add_parser("eval-word", help="evaluate a braid word")
-    common(p, forms=FORMS, pretty=True)
-    p.add_argument("--word", required=True, help='e.g. "1 3 -5"')
-    p.set_defaults(func=cmd_eval_word)
-
-    p = sub.add_parser("verify-relations", help="run the exact identity battery")
-    common(p, parity=False)
-    p.set_defaults(func=cmd_verify_relations)
-
-    p = sub.add_parser("orders", help="closed-form group orders")
-    common(p, parity=False)
-    p.set_defaults(func=cmd_orders)
-
-    p = sub.add_parser("enumerate", help="enumerate the braid image")
-    common(p)
-    p.add_argument("--mode", choices=("strict", "projective"), default="strict")
-    p.add_argument("--heavy", action="store_true", help="allow n >= 3 enumeration")
-    p.add_argument("--dump-elements", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("monodromy-check", help="monodromy image vs Pauli group")
-    common(p)
-    p.set_defaults(func=cmd_monodromy_check)
-
-    # a projected word R_j P is a projection, never unitary, so never checked
-    p = sub.add_parser("clifford-check", help="Clifford membership of a word or target")
-    common(p, forms=("compressed", "unprojected"))
-    p.add_argument("--word")
-    p.add_argument("--target")
-    p.set_defaults(func=cmd_clifford_check)
-
-    p = sub.add_parser("symplectic", help="printed symplectic and tilde matrices")
-    common(p, parity=False)
-    p.set_defaults(func=cmd_symplectic)
-
-    p = sub.add_parser("faithfulness", help="order of the symplectic subgroup")
-    common(p, parity=False)
-    p.set_defaults(func=cmd_faithfulness)
-
-    p = sub.add_parser("synth", help="BFS for a braid word realizing a gate")
-    common(p)
-    p.add_argument("--target", required=True, help="cz:1,2 | swap:1,2 | h:1 | p:1 | file:m.json")
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--cap", type=int, default=10 ** 7)
-    p.add_argument("--heavy", action="store_true")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("reach", help="reachability certificate for a gate")
-    common(p)
-    p.add_argument("--target", required=True)
-    p.set_defaults(func=cmd_reach)
-
-    p = sub.add_parser("missing-gates", help="survey of unreachable SWAP embeddings")
-    common(p, parity=False)
-    p.add_argument("--check-generation", action="store_true",
-                   help="verify braid + one SWAP generates the full symplectic group")
-    p.set_defaults(func=cmd_missing_gates)
-
-    p = sub.add_parser("fusion", help="fusion paths and qubit labels")
-    p.add_argument("--num-sigma", type=int, required=True)
-    p.add_argument("--parity", type=_parity, default=1)
-    p.add_argument("--labels", action="store_true")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_fusion)
-
+def build_parser(names=None) -> argparse.ArgumentParser:
+    """The parser of the commands in `names` (default: all, in table order).
+    Its usage line lists every command either way, so the usage errors
+    of a one-command parser match the full one's."""
+    parser = _Parser(prog="anyonbraid", description="Exact Ising-anyon braiding "
+                     "representations and their Clifford reach")
+    every = None if names is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in COMMANDS if names is None else names:
+        help_text, add_args, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[:1] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from test_cli_fuzz import FUZZ, argvs
 
 import anyonbraid.cli as cli
 from anyonbraid.cli import main
@@ -189,6 +193,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
     assert err == "error: enumeration exceeded cap of 5 elements\n"
+    # --form shapes a --word evaluation only
+    for form in ("compressed", "unprojected"):
+        assert run_cli(capsys, "clifford-check", "--n", "1", "--target", "h:1", "--form", form) == \
+            (2, "", "error: --form applies to --word only; a --target is taken as given\n")
     for command in ("verify-relations", "symplectic"):
         for n in ("0", "-1"):
             assert run_cli(capsys, command, "--n", n) == (2, "", "error: n must be positive\n")
@@ -214,7 +222,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           # R_j P is a projection, so a projected word is never unitary
                           (["clifford-check", "--n", "2", "--word", "1", "--form", "projected"],
                            "error: argument --form: invalid choice: 'projected' "
-                           "(choose from 'compressed', 'unprojected')")):
+                           "(choose from 'compressed', 'unprojected')"),
+                          (["clifford-check", "--n", "1"],
+                           "error: one of the arguments --word --target is required"),
+                          (["clifford-check", "--n", "1", "--word", "2", "--target", "h:1"],
+                           "error: argument --target: not allowed with argument --word")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -307,12 +319,86 @@ def test_deterministic_output(capsys):
     assert len(outs) == 2  # one distinct output per command
 
 
+COMMAND_NAMES = ("gen-matrix", "eval-word", "verify-relations", "orders", "enumerate",
+                 "monodromy-check", "clifford-check", "symplectic", "faithfulness", "synth",
+                 "reach", "missing-gates", "fusion")
+
+
 def test_console_entrypoint_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "anyonbraid.cli", "orders", "--n", "1"],
-        capture_output=True, text=True, timeout=120)
+    """With no argv, main reads sys.argv: a known command first and any
+    other argv alike."""
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "anyonbraid.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+
+    proc = run("orders", "--n", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["braid_image"] == 96
+    proc = run("synth", "--n", "2", "--target", "cz:1,2")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN_DIR / "synth_n2_cz12.json").read_text(encoding="utf-8")
+    proc = run("-h")
+    assert proc.returncode == 0
+    assert "{" + ",".join(COMMAND_NAMES) + "}" in proc.stdout
+    assert all(f"\n    {name} " in proc.stdout for name in COMMAND_NAMES)
+
+
+def parse_outcome(names, argv):
+    """The namespace of build_parser(names).parse_args(argv), or its exit
+    code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = cli.build_parser(names).parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_agrees_with_full_parser():
+    """A parser built for argv[0] alone parses, helps and fails exactly as
+    the full parser does, usage errors that print the top-level usage
+    line included."""
+    assert tuple(cli.COMMANDS) == COMMAND_NAMES
+    cases = [[name, *rest] for name in COMMAND_NAMES for rest in ([], ["-h"], ["--n", "1"])]
+    cases += [["orders", "--n", "1", "extra"], ["synth", "--n", "2", "--target", "cz:1,2", "-v"],
+              ["fusion", "--num-sigma", "4", "--", "x"],
+              ["synth", "--n", "2", "--target", "cz:1,2", "--max-depth", "3"]]
+    for argv in cases:
+        assert parse_outcome([argv[0]], argv) == parse_outcome(None, argv), argv
+
+
+@FUZZ
+@given(argvs())
+def test_one_command_parser_agrees_on_fuzzed_argvs(argv):
+    assert parse_outcome([argv[0]], argv) == parse_outcome(None, argv), argv
+
+
+def test_main_builds_only_the_named_command(monkeypatch, capsys):
+    """main registers one subcommand when argv names one first, and all of
+    them otherwise, so the top-level help and the invalid-choice list name
+    every command."""
+    built = []
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: (help_text, lambda p, name=name, add=add: (built.append(name), add(p)), func)
+        for name, (help_text, add, func) in cli.COMMANDS.items()})
+    assert run_cli(capsys, "synth", "--n", "2", "--target", "cz:1,2")[0] == 0
+    assert built == ["synth"]
+    for name in COMMAND_NAMES:
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        assert exc.value.code == 0 and built == [name]
+        assert capsys.readouterr().out.startswith(f"usage: anyonbraid {name} ")
+    for argv in (["-h"], ["frobnicate"], [], ["--n", "2", "orders"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == list(COMMAND_NAMES), argv
+        out, err = capsys.readouterr()
+        assert "{" + ",".join(COMMAND_NAMES) + "}" in out + err, argv
+        if argv == ["frobnicate"]:
+            assert ", ".join(f"'{name}'" for name in COMMAND_NAMES) in err
 
 
 def test_certificates_survive_optimize_flag():
