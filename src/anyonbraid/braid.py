@@ -42,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .gamma import _embedding, compress_matrix, gamma, projector
-from .matrix import DenseMatrix, _check_int64
-from .pauli import PauliElement, pauli_sparse, phased_row_index, signed_rows
+from .matrix import DenseMatrix, _check_int64, phased_row_index, signed_rows
+from .pauli import PauliElement, pauli_sparse
 from .ring import I_UNIT
 
 FORMS = ("compressed", "projected", "unprojected")
@@ -182,15 +182,15 @@ def exchange_table(ctx: RepContext, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _letter_rows(ctx: RepContext, j: int, inverse: bool) -> np.ndarray:
-    """Row indices (4 terms, 4 planes, d) into pauli.signed_rows(X) whose
+    """Row indices (4 terms, 4 planes, d) into matrix.signed_rows(X) whose
     sum over terms is 2 R_j X = (1 + i)(X - G X) = X + i X - G X - i G X,
     or 2 R_j^(-1) X = (1 - i)(X + G X) = X - i X + G X - i G X, for
-    G = G_j = (perm, ipow)."""
+    G = G_j = (perm, ipow), each term a phased permutation (i = z^2)."""
     perm, ipow = exchange_table(ctx, j)
     rows = np.arange(len(perm))
-    idx = np.stack([phased_row_index(rows, 0), phased_row_index(rows, 3 if inverse else 1),
-                    phased_row_index(perm, ipow + (0 if inverse else 2)),
-                    phased_row_index(perm, ipow + 3)])
+    idx = np.stack([phased_row_index(rows, 0), phased_row_index(rows, 6 if inverse else 2),
+                    phased_row_index(perm, 2 * ipow + (0 if inverse else 4)),
+                    phased_row_index(perm, 2 * ipow + 6)])
     idx.flags.writeable = False
     return idx
 

@@ -168,18 +168,20 @@ def cmd_monodromy_check(args) -> int:
 
 
 # a projected word R_j P is a projection, never unitary, so never checked;
-# --form shapes a --word evaluation only, so its default is None
+# --parity and --form shape a --word evaluation only, so their defaults are None
 def _clifford_check_args(p) -> None:
-    _common(p, forms=("compressed", "unprojected")).set_defaults(form=None)
+    _common(p, forms=("compressed", "unprojected")).set_defaults(parity=None, form=None)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--word")
     which.add_argument("--target")
 
 
 def cmd_clifford_check(args) -> int:
-    if args.target is not None and args.form is not None:
-        raise ValueError("--form applies to --word only; a --target is taken as given")
-    ctx = RepContext(args.n, args.parity, args.form or "compressed")
+    if args.target is not None:
+        for flag in ("form", "parity"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies to --word only; a --target is taken as given")
+    ctx = RepContext(args.n, args.parity or 1, args.form or "compressed")
     mat = (eval_word(ctx, BraidWord.from_text(args.word)) if args.word is not None
            else _target_matrix(args, args.n))
     act = clifford_check(mat)

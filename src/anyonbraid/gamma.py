@@ -23,7 +23,6 @@ SIGMA2 = DenseMatrix.from_entries([
     [CycScalar(0, 0, 1, 0), CycScalar(0)],
 ])
 SIGMA3 = DenseMatrix.from_entries([[1, 0], [0, -1]])
-PAULIS = (DenseMatrix.identity(2), SIGMA1, SIGMA2, SIGMA3)
 
 
 def kron_chain(factors) -> DenseMatrix:

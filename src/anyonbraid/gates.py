@@ -2,41 +2,39 @@
 
 All act on the big-endian n-qubit computational basis (qubit 1 is the
 most significant bit), matching the compressed representation basis.
+Every gate but the Hadamard is a phased permutation of the basis,
+G[r, perm[r]] = z^zpow[r], built by DenseMatrix.phased_permutation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gamma import PAULIS, kron_chain
+from .gamma import kron_chain
 from .matrix import DenseMatrix
+from .pauli import PauliElement
 from .ring import INV_SQRT2
 
 
-def _bit(x: int, n: int, q: int) -> int:
-    return (x >> (n - q)) & 1
+def _bits(n: int, q: int) -> np.ndarray:
+    """Qubit q's bit of every basis index 0..2^n - 1."""
+    return (np.arange(2 ** n) >> (n - q)) & 1
+
+
+def _check_pair(n: int, a: int, b: int) -> None:
+    if a == b or not (1 <= a <= n and 1 <= b <= n):
+        raise IndexError("need two distinct qubits in range")
 
 
 def pauli_gate(n: int, qubit: int, axis: int) -> DenseMatrix:
-    if not 1 <= qubit <= n:
-        raise IndexError("qubit out of range")
-    factors = [PAULIS[0]] * n
-    factors[qubit - 1] = PAULIS[axis]
-    return kron_chain(factors)
+    return PauliElement.single(n, qubit, axis).to_matrix()
 
 
 def phase_gate(n: int, qubit: int) -> DenseMatrix:
     """diag(1, i) on one qubit."""
     if not 1 <= qubit <= n:
         raise IndexError("qubit out of range")
-    d = 2 ** n
-    planes = np.zeros((4, d, d), dtype=np.int64)
-    for x in range(d):
-        if _bit(x, n, qubit):
-            planes[2, x, x] = 1
-        else:
-            planes[0, x, x] = 1
-    return DenseMatrix(planes, 0, _normalized=True)
+    return DenseMatrix.phased_permutation(np.arange(2 ** n), 2 * _bits(n, qubit))
 
 
 def hadamard_gate(n: int, qubit: int) -> DenseMatrix:
@@ -53,38 +51,20 @@ def hadamard_gate(n: int, qubit: int) -> DenseMatrix:
 
 def cz_gate(n: int, a: int, b: int) -> DenseMatrix:
     """diag(-1 where both control bits are 1); symmetric in a, b."""
-    if a == b or not (1 <= a <= n and 1 <= b <= n):
-        raise IndexError("need two distinct qubits in range")
-    d = 2 ** n
-    planes = np.zeros((4, d, d), dtype=np.int64)
-    for x in range(d):
-        planes[0, x, x] = -1 if _bit(x, n, a) and _bit(x, n, b) else 1
-    return DenseMatrix(planes, 0, _normalized=True)
+    _check_pair(n, a, b)
+    return DenseMatrix.phased_permutation(np.arange(2 ** n), 4 * (_bits(n, a) & _bits(n, b)))
 
 
 def swap_gate(n: int, a: int, b: int) -> DenseMatrix:
-    if a == b or not (1 <= a <= n and 1 <= b <= n):
-        raise IndexError("need two distinct qubits in range")
-    d = 2 ** n
-    planes = np.zeros((4, d, d), dtype=np.int64)
-    for x in range(d):
-        ba, bb = _bit(x, n, a), _bit(x, n, b)
-        y = x
-        if ba != bb:
-            y ^= (1 << (n - a)) | (1 << (n - b))
-        planes[0, y, x] = 1
-    return DenseMatrix(planes, 0, _normalized=True)
+    _check_pair(n, a, b)
+    flip = (_bits(n, a) ^ _bits(n, b)) * ((1 << n - a) | (1 << n - b))
+    return DenseMatrix.phased_permutation(np.arange(2 ** n) ^ flip, 0)
 
 
 def cnot_gate(n: int, control: int, target: int) -> DenseMatrix:
-    if control == target or not (1 <= control <= n and 1 <= target <= n):
-        raise IndexError("need two distinct qubits in range")
-    d = 2 ** n
-    planes = np.zeros((4, d, d), dtype=np.int64)
-    for x in range(d):
-        y = x ^ (1 << (n - target)) if _bit(x, n, control) else x
-        planes[0, y, x] = 1
-    return DenseMatrix(planes, 0, _normalized=True)
+    _check_pair(n, control, target)
+    flip = _bits(n, control) << (n - target)
+    return DenseMatrix.phased_permutation(np.arange(2 ** n) ^ flip, 0)
 
 
 def parse_gate_target(n: int, spec: str) -> DenseMatrix:

@@ -14,6 +14,11 @@ It runs in float64 (BLAS) only when every partial sum is an integer
 below 2^53, where float64 is exact, and in int64 otherwise: floats carry
 exact integers there and never stand for a rounded value.
 
+A power of z is one gather of the signed planes (a, -a) by ring.ZROT:
+`_rotate` on the plane axis, and `phased_row_index` on the rows, so that
+G[r, perm[r]] = z^zpow[r] acts on the left as one gather; sigma_x, the
+braid letter rule and the gate constructors are such gathers.
+
 `MatrixStack` holds many matrices of one dimension as stacked planes with
 a denominator exponent per matrix; its normal form, projective canonical
 form and keys agree row by row with DenseMatrix, so Dimino cosets and the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ring import CycScalar, zfold
+from .ring import ZCONJ, ZROT, CycScalar, zfold
 
 _INT64_SAFE = 1 << 62
 # float64 holds every integer below 2^53 exactly, so a product whose partial
@@ -39,6 +44,8 @@ _FLOAT_EXACT = 1 << 53
 _ZTABLE = np.stack(zfold(np.eye(16, dtype=np.int64).reshape(4, 4, 4, 4)), axis=1)
 _ZINDEX = np.abs(_ZTABLE).argmax(axis=2)
 _ZSIGN = _ZTABLE.sum(axis=2)[:, :, None, None]
+_ZROT = np.array(ZROT)
+_ZCONJ = np.array(ZCONJ)
 
 
 # Matrices per stacked product in the callers that sweep many elements; it
@@ -82,16 +89,32 @@ def _product(a: np.ndarray, b: np.ndarray, max_a: int, max_b: int) -> np.ndarray
     return out.astype(np.int64, order="C")
 
 
-def _rotate(planes: np.ndarray, e: int) -> np.ndarray:
-    """Planes times z^e: a signed rotation of the plane axis (-3)."""
-    e %= 8
-    if e >= 4:
-        planes = -planes
-        e -= 4
-    if e:
-        planes = np.concatenate([-planes[..., 4 - e:, :, :], planes[..., :4 - e, :, :]],
-                                axis=-3)
-    return planes
+def _signed(planes: np.ndarray) -> np.ndarray:
+    """The eight signed planes (planes, -planes) on the plane axis (-3)."""
+    return np.concatenate([planes, -planes], axis=-3)
+
+
+def _rotate(planes: np.ndarray, e) -> np.ndarray:
+    """Planes times z^e, one gather of ring.ZROT on the signed plane axis:
+    planes (4, d, d) and an int e, or a stack (N, 4, d, d) and N powers."""
+    idx = _ZROT[np.asarray(e) % 8]
+    signed = _signed(planes)
+    return signed.take(idx, axis=0) if idx.ndim == 1 else signed[np.arange(len(idx))[:, None], idx]
+
+
+def signed_rows(planes: np.ndarray) -> np.ndarray:
+    """The rows of the signed planes as one (..., 8d, d) array, keeping any
+    leading batch axes; phased_row_index picks from it."""
+    d = planes.shape[-1]
+    return _signed(planes).reshape(*planes.shape[:-3], 8 * d, d)
+
+
+def phased_row_index(perm: np.ndarray, zpow) -> np.ndarray:
+    """Indices (4, d) into signed_rows(X) that give the planes of G @ X for
+    the phased permutation G[r, perm[r]] = z^zpow[r] (zpow an int or one
+    power per row): row r of G X is row perm[r] of X times z^zpow[r], and
+    plane p of that is signed plane ring.ZROT[zpow[r]][p]."""
+    return (_ZROT[np.asarray(zpow) % 8] * len(perm) + perm[:, None]).T
 
 
 class DenseMatrix:
@@ -142,6 +165,13 @@ class DenseMatrix:
         planes = np.zeros((4, dim, dim), dtype=np.int64)
         planes[0] = np.eye(dim, dtype=np.int64)
         return cls(planes, 0, _normalized=True)
+
+    @classmethod
+    def phased_permutation(cls, perm: np.ndarray, zpow) -> DenseMatrix:
+        """G with G[r, perm[r]] = z^zpow[r] and zeros elsewhere (zpow an int
+        or one power per row): G @ I, one gather of the identity's rows."""
+        rows = signed_rows(cls.identity(len(perm)).planes)
+        return cls(rows[phased_row_index(perm, zpow)], 0, _normalized=True)
 
     @classmethod
     def zeros(cls, dim: int) -> DenseMatrix:
@@ -233,8 +263,7 @@ class DenseMatrix:
         return DenseMatrix(_rotate(self.planes, e), self.k, _normalized=True)
 
     def dagger(self) -> DenseMatrix:
-        p = self.planes
-        planes = np.stack([p[0], -p[3], -p[2], -p[1]]).transpose(0, 2, 1)
+        planes = _signed(self.planes).take(_ZCONJ, axis=0).transpose(0, 2, 1)
         return DenseMatrix(planes, self.k, _normalized=True)
 
     def kron(self, other: DenseMatrix) -> DenseMatrix:
@@ -386,11 +415,7 @@ class MatrixStack:
         t = np.array([CycScalar(*c).phase_class()[0]
                       for c in leads.view(np.int64).reshape(-1, 4).tolist()])
         t = t[which.reshape(-1)]
-        planes = np.empty_like(self.planes)
-        for e in set(t.tolist()):
-            sel = t == e
-            planes[sel] = _rotate(self.planes[sel], -e)
-        return t, MatrixStack(planes, self.k)
+        return t, MatrixStack(_rotate(self.planes, -t), self.k)
 
     @classmethod
     def from_keys(cls, keys) -> MatrixStack:

@@ -15,8 +15,9 @@ PauliElement owns that product; a vector is written as 0/1 characters,
 bit 0 first, only in a repr and in JSON.
 
 sigma_x is kept sparse, as (perm, ipow) with sigma_x[r, perm[r]] =
-i^ipow[r].  A product with such a phased permutation is a gather of the
-rows of (X, -X) (signed_rows, phased_row_index), never a matrix product.
+i^ipow[r] = z^(2 ipow[r]).  A product with it is a gather of the rows of
+(X, -X) by matrix.phased_row_index, which reads ring.ZROT, never a matrix
+product, and the module does no plane arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, phased_row_index, signed_rows
 from .ring import CycScalar
 
 
@@ -117,29 +118,7 @@ def pauli_sparse(x: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def pauli_vector_matrix(x: int, n: int) -> DenseMatrix:
     """The matrix sigma_x on n qubits (phase convention (1,1) -> i*sigma3)."""
     perm, ipow = pauli_sparse(x, n)
-    ident = DenseMatrix.identity(len(perm)).planes
-    return DenseMatrix(signed_rows(ident)[phased_row_index(perm, ipow)], 0, _normalized=True)
-
-
-def _times_ipow(planes: np.ndarray, e) -> np.ndarray:
-    """planes times i^e, e broadcast against the entries (i = z^2)."""
-    e = np.asarray(e) % 4
-    out = np.where(e % 2, np.stack([-planes[2], -planes[3], planes[0], planes[1]]), planes)
-    return np.where(e >= 2, -out, out)
-
-
-def signed_rows(planes: np.ndarray) -> np.ndarray:
-    """The rows of (planes, -planes) as one (..., 8d, d) array, keeping any
-    leading batch axes; phased_row_index picks from it."""
-    d = planes.shape[-1]
-    return np.concatenate([planes, -planes], axis=-3).reshape(*planes.shape[:-3], 8 * d, d)
-
-
-def phased_row_index(perm: np.ndarray, ipow) -> np.ndarray:
-    """Indices into signed_rows(X) that give the planes (4, d, d) of G @ X
-    for G[r, perm[r]] = i^ipow[r]: row r of G X is i^ipow[r] times row
-    perm[r] of X, and plane p of z^t * a is plane (p - t) mod 8 of (a, -a)."""
-    return ((np.arange(4)[:, None] - 2 * np.asarray(ipow)) % 8) * len(perm) + perm
+    return DenseMatrix.phased_permutation(perm, 2 * ipow)
 
 
 def pauli_columns(mat: DenseMatrix, xs) -> np.ndarray:
@@ -152,7 +131,7 @@ def pauli_columns(mat: DenseMatrix, xs) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _column_index(xs: tuple[int, ...], n: int) -> np.ndarray:
-    idx = np.stack([phased_row_index(perm, ipow[perm])
+    idx = np.stack([phased_row_index(perm, 2 * ipow[perm])
                     for perm, ipow in (pauli_sparse(x, n) for x in xs)])
     idx.flags.writeable = False
     return idx
@@ -163,15 +142,15 @@ def qubit_bits(n: int) -> np.ndarray:
     return 1 << np.arange(n - 1, -1, -1)
 
 
-def read_term(head: np.ndarray, others: np.ndarray, col: int) -> tuple[int, list[int]] | None:
-    """The candidate (x, c) for w == c * sigma_x, when row 0 of w holds a
-    single nonzero entry head = w[0, col] (planes (4,)) and others holds the
-    planes (4, n) of w[b, b ^ col] for b = qubit_bits(n); c is the four
-    coefficients of c over w's denominator.
+def read_term(head: np.ndarray, others: np.ndarray, col: int) -> int | None:
+    """The candidate x for w == c * sigma_x, when row 0 of w holds a single
+    nonzero entry head = w[0, col] (planes (4,)) and others holds the
+    planes (4, n) of w[b, b ^ col] for b = qubit_bits(n).
 
     Column col gives the X part of every qubit.  Each w[b, b ^ col] must be
     +-w[0, col], and the sign gives qubit q's Z part; otherwise None.  The
-    caller confirms the candidate.
+    caller reads c from head = c * sigma_x[0, col] and confirms the
+    candidate.
     """
     n = others.shape[1]
     neg = (others == -head[:, None]).all(axis=0)
@@ -179,11 +158,7 @@ def read_term(head: np.ndarray, others: np.ndarray, col: int) -> tuple[int, list
         return None
     flip = (qubit_bits(n) & col) != 0
     # qubit q's pair (X, Z) is (flip ^ neg, neg), at bits 2q and 2q + 1
-    x = sum(pair << 2 * q for q, pair in enumerate(((flip ^ neg) + 2 * neg).tolist()))
-    c = head.tolist()
-    for _ in range(-int(pauli_sparse(x, n)[1][0]) % 4):
-        c = [-c[2], -c[3], c[0], c[1]]  # times i
-    return x, c
+    return sum(pair << 2 * q for q, pair in enumerate(((flip ^ neg) + 2 * neg).tolist()))
 
 
 def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[int, CycScalar]]:
@@ -198,11 +173,13 @@ def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[int, CycScalar]]:
     n = d.bit_length() - 1
     if 2 ** n != d:
         raise ValueError("dimension must be a power of two")
+    rows = signed_rows(mat.planes)
+    diag = np.arange(d)
     out = []
     for x in range(4 ** n):
         perm, ipow = pauli_sparse(x, n)
         # tr(sigma_x^dagger mat) = sum_r i^(-ipow[r]) mat[r, perm[r]]
-        s = _times_ipow(mat.planes[:, np.arange(d), perm], -ipow).sum(axis=1)
+        s = rows[phased_row_index(diag, -2 * ipow), perm].sum(axis=1)
         c = CycScalar(int(s[0]), int(s[1]), int(s[2]), int(s[3]), mat.k + n)
         if not c.is_zero():
             out.append((x, c))

@@ -47,6 +47,13 @@ def zfold(t):
             t[0][3] + t[1][2] + t[2][1] + t[3][0])
 
 
+# The z-power rule as indices into the signed planes (a_0..a_3, -a_0..-a_3)
+# of a = sum a_p z^p: plane p of z^t a is signed plane ZROT[t][p], and plane
+# p of conj(a) (z^p -> z^-p) is ZCONJ[p]; every rotation reads these tables.
+ZROT = tuple(tuple((p - t) % 8 for p in range(4)) for t in range(8))
+ZCONJ = tuple(-p % 8 for p in range(4))
+
+
 class CycScalar:
     """(c0 + c1*z + c2*z^2 + c3*z^3) / 2^k with z = exp(i*pi/4), z^4 = -1.
 
@@ -137,19 +144,18 @@ class CycScalar:
 
     __rmul__ = __mul__
 
+    def _signed(self) -> tuple[int, ...]:
+        c0, c1, c2, c3 = self.c0, self.c1, self.c2, self.c3
+        return (c0, c1, c2, c3, -c0, -c1, -c2, -c3)
+
     def conjugate(self) -> CycScalar:
-        # z -> z^-1 = -z^3, z^2 -> -z^2, z^3 -> -z
-        return CycScalar(self.c0, -self.c3, -self.c2, -self.c1, self.k)
+        s = self._signed()
+        return CycScalar(*[s[i] for i in ZCONJ], self.k)
 
     def mul_zeta(self, e: int) -> CycScalar:
         """Multiply by z^e (a signed cyclic shift of the coefficients)."""
-        e %= 8
-        c = [self.c0, self.c1, self.c2, self.c3]
-        if e >= 4:
-            c = [-x for x in c]
-            e -= 4
-        c = [-x for x in c[4 - e:]] + c[: 4 - e]
-        return CycScalar(c[0], c[1], c[2], c[3], self.k)
+        s = self._signed()
+        return CycScalar(*[s[i] for i in ZROT[e % 8]], self.k)
 
     def _in_phase_domain(self) -> bool:
         """Exact test for polar angle in [0, pi/4)."""

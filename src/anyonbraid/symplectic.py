@@ -21,9 +21,9 @@ from math import factorial
 import numpy as np
 
 from .gf2 import BitMatrix, StabiliserChain, is_symplectic
-from .matrix import DenseMatrix, _product
-from .pauli import (pauli_basis_decompose, pauli_columns, pauli_sparse, phased_row_index,
-                    qubit_bits, read_term, signed_rows, vector_text)
+from .matrix import DenseMatrix, _product, phased_row_index, signed_rows
+from .pauli import (pauli_basis_decompose, pauli_columns, pauli_sparse, qubit_bits, read_term,
+                    vector_text)
 from .ring import CycScalar, zfold
 
 
@@ -63,7 +63,8 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     one gather).  Of W_g = U sigma_g U^dagger only row 0 (one stacked
     vector-matrix product for all g) and the n entries W_g[b, b ^ x_g] are
     formed, and pauli.read_term reads a candidate W_g = c sigma_v from them.
-    It is accepted only if c = i^m and U sigma_g == i^m sigma_v U exactly;
+    It is accepted only if c = i^m, read as the i-power of W_g[0, x_g] =
+    c i^ipow_v[0] less ipow_v[0], and U sigma_g == i^m sigma_v U exactly;
     that compares two signed permutations of U and, U being unitary, is
     equivalent to W_g = c sigma_v.  The verdict is CliffordAction(s, f) when
     every generator passes (s is then checked symplectic); otherwise W_g is
@@ -95,13 +96,14 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     for g in range(2 * n):
         m = None
         x = int(xs[g])
-        term = read_term(row0[g, :, x], others[g], x) if nonzero[g].sum() == 1 else None
-        if term is not None:
-            tv, c = term
-            m = CycScalar(*c, 2 * u.k).ipower()
+        tv = read_term(row0[g, :, x], others[g], x) if nonzero[g].sum() == 1 else None
+        if tv is not None:
+            # i^(m + ipow[0]) when W_g = i^m sigma_v
+            m = CycScalar(*row0[g, :, x].tolist(), 2 * u.k).ipower()
         if m is not None:
             perm, ipow = pauli_sparse(tv, n)
-            if not np.array_equal(u_sigmas[g], u_rows[phased_row_index(perm, ipow + m)]):
+            m = (m - int(ipow[0])) % 4
+            if not np.array_equal(u_sigmas[g], u_rows[phased_row_index(perm, 2 * (ipow + m))]):
                 m = None
         if m is None:
             w = DenseMatrix(u_sigmas[g], u.k, _normalized=True) @ udag

@@ -178,6 +178,14 @@ def test_fusion(capsys):
     assert payload["labels"][3]["index"] == 3
 
 
+def test_clifford_check_word_parity_defaults_to_plus(capsys):
+    argv = ("clifford-check", "--n", "2", "--word", "1 4 5")
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--parity", "+") == plain
+    assert run_cli(capsys, *argv, "--parity", "-") != plain
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(capsys, "synth", "--n", "2", "--target", "warp:1")[0] == 2
     assert run_cli(capsys, "eval-word", "--n", "1", "--word", "7")[0] == 2
@@ -193,10 +201,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
     assert err == "error: enumeration exceeded cap of 5 elements\n"
-    # --form shapes a --word evaluation only
+    # --form and --parity shape a --word evaluation only
     for form in ("compressed", "unprojected"):
         assert run_cli(capsys, "clifford-check", "--n", "1", "--target", "h:1", "--form", form) == \
             (2, "", "error: --form applies to --word only; a --target is taken as given\n")
+    for parity in ("+", "-", "-1"):
+        for target in ("h:1", f"file:{GOLDEN_DIR / 't_gate_n2.json'}"):
+            assert run_cli(capsys, "clifford-check", "--n", "1", "--target", target,
+                           "--parity", parity) == \
+                (2, "", "error: --parity applies to --word only; a --target is taken as given\n")
     for command in ("verify-relations", "symplectic"):
         for n in ("0", "-1"):
             assert run_cli(capsys, command, "--n", n) == (2, "", "error: n must be positive\n")
@@ -442,3 +455,35 @@ def test_library_uses_no_tolerance():
         keywords = {kw.arg for node in nodes if isinstance(node, ast.Call)
                     for kw in node.keywords}
         assert not keywords & {"atol", "rtol"}, path.name
+
+
+def test_z_power_rule_has_one_home():
+    """Plane p of z^t a is plane (p - t) mod 8 of (a, -a): that rule is the
+    table ring.ZROT, read only in ring.py and matrix.py.  No other module
+    may compute modulo 8 or index a `planes` array by an integer literal
+    on its leading (plane) axis, the two marks of a second rotation."""
+    import ast
+
+    import anyonbraid
+
+    def is_int_literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    def names_planes(node):
+        return ((isinstance(node, ast.Name) and node.id == "planes")
+                or (isinstance(node, ast.Attribute) and node.attr == "planes"))
+
+    for path in sorted(Path(anyonbraid.__file__).parent.glob("*.py")):
+        if path.name in ("ring.py", "matrix.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+                modulus = node.right if isinstance(node, ast.BinOp) else node.value
+                assert not (isinstance(modulus, ast.Constant) and modulus.value == 8), \
+                    f"{path.name}:{node.lineno} reduces modulo 8"
+            if isinstance(node, ast.Subscript) and names_planes(node.value):
+                index = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+                assert not is_int_literal(index), \
+                    f"{path.name}:{node.lineno} picks a coefficient plane by number"

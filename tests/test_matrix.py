@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonbraid.braid import BraidWord, RepContext, eval_word
-from anyonbraid.matrix import BLOCK_ROWS, DenseMatrix, MatrixStack, _product, matrices_from_keys
+from anyonbraid.matrix import (BLOCK_ROWS, DenseMatrix, MatrixStack, _product, matrices_from_keys,
+                               phased_row_index, signed_rows)
 from anyonbraid.ring import BRAID_PHASE, INV_SQRT2, CycScalar, ONE, ZERO
+from oracles import zeta_power
 
 # reproducible examples, no example database left in the working tree
 EXACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -220,6 +222,43 @@ def test_mul_zeta_rotation():
         for i in range(2):
             for j in range(2):
                 assert rot.entry(i, j) == a.entry(i, j).mul_zeta(e)
+
+
+def phased_permutation_by_entries(perm, zpow):
+    """G[r, perm[r]] = z^zpow[r] entry by entry, z^e a product of ZETAs."""
+    d = len(perm)
+    return DenseMatrix.from_entries([[zeta_power(int(zpow[r])) if c == perm[r] else 0
+                                      for c in range(d)] for r in range(d)])
+
+
+def test_z_power_gathers_match_products():
+    """Every gather that reads ring.ZROT against G @ X, where G is built
+    entrywise from products of ZETA and multiplied by the GEMM kernel."""
+    rng = random.Random(23)
+    for d in (1, 2, 4, 8):
+        for _ in range(6):
+            x = rand_matrix(rng, d, kmax=3)
+            for e in range(-16, 17):
+                assert x.mul_zeta(e) == phased_permutation_by_entries(range(d), [e] * d) @ x
+            perm = np.array(rng.sample(range(d), d))
+            for parity in (0, 1):   # all odd or all even z-powers, then mixed
+                zpow = np.array([2 * rng.randint(-8, 8) + parity for _ in range(d)])
+                g = phased_permutation_by_entries(perm, zpow)
+                assert DenseMatrix.phased_permutation(perm, zpow) == g
+                got = DenseMatrix(signed_rows(x.planes)[phased_row_index(perm, zpow)], x.k)
+                assert got == g @ x
+            zpow = np.array([rng.randint(-16, 16) for _ in range(d)])
+            g = phased_permutation_by_entries(perm, zpow)
+            assert DenseMatrix.phased_permutation(perm, zpow) == g
+            assert DenseMatrix(signed_rows(x.planes)[phased_row_index(perm, zpow)], x.k) == g @ x
+        # the stacked rotation of MatrixStack.projective_canonical, row by row
+        mats = [rand_matrix(rng, d, kmax=3) for _ in range(40)]
+        mats = [m.mul_zeta(e % 8) for e, m in enumerate(mats) if not m.is_zero()]
+        t, canon = MatrixStack.of(mats).projective_canonical()
+        for m, ti, c in zip(mats, t.tolist(), canon.matrices()):
+            assert c == phased_permutation_by_entries(range(d), [-ti] * d) @ m
+            assert c == m.projective_canonical()[1]
+        assert len(set(t.tolist())) > 1
 
 
 def test_projective_canonical():

@@ -287,13 +287,14 @@ def failing_stage(u: DenseMatrix) -> str | None:
             return "row 0"
         col = row0[0]
         bits = qubit_bits(n)
-        term = read_term(w.planes[:, 0, col], w.planes[:, bits, bits ^ col], col)
-        if term is None:
+        tv = read_term(w.planes[:, 0, col], w.planes[:, bits, bits ^ col], col)
+        if tv is None:
             return "z sign"
-        tv, c = term
-        m = CycScalar(*c, w.k).ipower()
+        # w[0, col] = i^m sigma_tv[0, col] = i^(m + ipow[0])
+        m = w.entry(0, col).ipower()
         if m is None:
             return "i-power"
+        m -= int(pauli_sparse(tv, n)[1][0])
         if w != pauli_vector_matrix(tv, n).mul_zeta(2 * m):
             return "confirm"
     return None

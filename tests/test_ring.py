@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from anyonbraid.ring import (BRAID_PHASE, CycScalar, I_UNIT, INV_SQRT2, ONE,
                              SQRT2, ZERO, ZETA)
+from oracles import zeta_power
 
 # reproducible examples, no example database left in the working tree
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -137,13 +138,17 @@ def test_phase_class_rejects_zero():
 
 
 def test_mul_zeta_matches_multiplication():
+    """mul_zeta and zeta_power read ring.ZROT; the reference is a product of
+    ZETA factors by __mul__, which folds through ring.zfold instead."""
+    powers = {e: zeta_power(e) for e in range(-16, 17)}
+    assert powers[4] == powers[-4] == -ONE and powers[2] == I_UNIT
+    assert powers[0] == powers[8] == powers[-16] == ONE
     rng = random.Random(606)
     for _ in range(100):
         a = rand_scalar(rng)
-        for e in range(-8, 9):
-            assert a.mul_zeta(e) == a * CycScalar.zeta_power(e)
-    assert CycScalar.zeta_power(4) == -ONE
-    assert CycScalar.zeta_power(8) == ONE
+        for e, z in powers.items():
+            assert a.mul_zeta(e) == a * z
+            assert CycScalar.zeta_power(e) == z
 
 
 def test_json_roundtrip_bit_exact():
