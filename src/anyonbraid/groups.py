@@ -15,12 +15,14 @@ each coset as blocks without a membership test per element, and checks
 only that the stored count grew by each block's length.
 
 enumerate_group runs over key bytes: a group's elements are stored only
-as DenseMatrix.key() bytes.  Each coset H*t is one stacked product
-per block of matrix.BLOCK_ROWS elements of H, stacked straight from the
-joined keys, and a block of products goes back as its keys; only the few
-products that find coset representatives build a matrix.
-GroupEnumeration.elements builds the matrices on first read, on the key
-bytes themselves; order, membership and the center read keys only.
+as DenseMatrix.key() bytes, whose planes take the narrowest integer type
+that holds each element (one byte per coefficient for the braid images).
+Each coset H*t is one stacked product per block of matrix.BLOCK_ROWS
+elements of H, stacked straight from the joined keys at their own width,
+and a block of products goes back as its keys; only the few products that
+find coset representatives build a matrix.  GroupEnumeration.elements
+builds the int64 matrices from the keys on first read; order, membership
+and the center read keys only.
 
 center() tests a block of candidates against each generator at once,
 keeping only the survivors for the next generator.  When the group holds

@@ -23,12 +23,19 @@ braid letter rule and the gate constructors are such gathers.
 a denominator exponent per matrix; its normal form, projective canonical
 form and keys agree row by row with DenseMatrix, so Dimino cosets and the
 center scan run one stacked product per `BLOCK_ROWS` matrices.
-A key is one record (dim and k as little-endian uint32, then the planes),
-so a stack is read straight from joined keys (`MatrixStack.from_keys`),
-and `matrices_from_keys` builds matrices on the key bytes themselves.
+A key is one record: dim and k as little-endian uint32, then the planes
+in the narrowest signed integer type that holds the matrix's largest
+coefficient (int8, int16, int32 or int64).  The normal form is unique, so
+the width is a function of the matrix and equal matrices have equal keys;
+for a given dim the width is read back from the key's length.  A stack is
+read straight from joined keys at their own width (`MatrixStack.from_keys`,
+whose stacked operations take any width), and `matrices_from_keys` builds
+int64 matrices from them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -46,6 +53,11 @@ _ZINDEX = np.abs(_ZTABLE).argmax(axis=2)
 _ZSIGN = _ZTABLE.sum(axis=2)[:, :, None, None]
 _ZROT = np.array(ZROT)
 _ZCONJ = np.array(ZCONJ)
+
+# A key's planes take the first of these types whose bound exceeds the
+# matrix's largest coefficient magnitude.
+_KEY_TYPES = (np.int8, np.int16, np.int32, np.int64)
+_KEY_BOUNDS = (1 << 7, 1 << 15, 1 << 31)
 
 
 # Matrices per stacked product in the callers that sweep many elements; it
@@ -186,11 +198,13 @@ class DenseMatrix:
 
     def key(self) -> bytes:
         """Canonical hashable form; equal matrices have equal keys: dim and
-        k as 4-byte little-endian integers, then the planes as native int64."""
+        k as 4-byte little-endian integers, then the planes in the narrowest
+        native signed type that holds the largest coefficient magnitude."""
         k = self._key
         if k is None:
+            width = _KEY_TYPES[bisect_right(_KEY_BOUNDS, self._maxabs)]
             k = (self.dim.to_bytes(4, "little") + self.k.to_bytes(4, "little")
-                 + self.planes.tobytes())
+                 + self.planes.astype(width).tobytes())
             object.__setattr__(self, "_key", k)
         return k
 
@@ -210,13 +224,11 @@ class DenseMatrix:
     # -- arithmetic --------------------------------------------------
 
     @classmethod
-    def _from_key(cls, key: bytes, dim: int, k: int, maxabs: int) -> DenseMatrix:
-        """The normal-form matrix whose key is `key`; its planes are a
-        read-only view of the key bytes after the 8-byte header, so the two
-        are stored once."""
+    def _from_key(cls, key: bytes, planes: np.ndarray, k: int, maxabs: int) -> DenseMatrix:
+        """The normal-form matrix whose key is `key`, given its planes read
+        back from the key as a read-only int64 array and its k and maxabs."""
         m = object.__new__(cls)
-        planes = np.ndarray((4, dim, dim), dtype=np.int64, buffer=key, offset=8)
-        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "dim", planes.shape[-1])
         object.__setattr__(m, "k", k)
         object.__setattr__(m, "planes", planes)
         object.__setattr__(m, "_maxabs", maxabs)
@@ -408,8 +420,10 @@ class MatrixStack:
         rows = np.arange(n)
         if not nonzero[rows, first].all():
             raise ValueError("zero matrix")
-        # distinct leads by their 32 bytes: a 1-D unique, cheaper than axis=0
-        leads = np.ascontiguousarray(flat[rows, :, first]).view(np.dtype((np.void, 32)))
+        # distinct leads by their 32 bytes as int64: a 1-D unique, cheaper
+        # than axis=0
+        leads = np.ascontiguousarray(flat[rows, :, first], dtype=np.int64)
+        leads = leads.view(np.dtype((np.void, 32)))
         leads, which = np.unique(leads.reshape(-1), return_inverse=True)
         # The phase of an entry does not depend on the shared denominator.
         t = np.array([CycScalar(*c).phase_class()[0]
@@ -420,36 +434,72 @@ class MatrixStack:
     @classmethod
     def from_keys(cls, keys) -> MatrixStack:
         """The stack of the matrices with these keys (at least one, all of
-        one dimension): a read-only view of their joined bytes."""
+        one dimension), in order.  Keys of one width are one read-only view
+        of their joined bytes at that width; mixed widths are read width by
+        width into the widest."""
         d = int.from_bytes(keys[0][:4], "little")
-        rows = np.frombuffer(b"".join(keys), dtype=_key_dtype(d))
-        return cls(rows["planes"], rows["k"].astype(np.int64))
+        sizes = _rows_by_value(np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)))
+        if len(sizes) == 1:
+            width = np.dtype(f"i{(sizes[0][0] - 8) // (4 * d * d)}")
+            rows = np.frombuffer(b"".join(keys), dtype=_key_dtype(d, width))
+            return cls(rows["planes"], rows["k"].astype(np.int64))
+        parts = [(idx, cls.from_keys([keys[i] for i in idx.tolist()])) for _, idx in sizes]
+        out = cls(np.empty((len(keys), 4, d, d), dtype=parts[-1][1].planes.dtype),
+                  np.empty(len(keys), dtype=np.int64))
+        for idx, part in parts:
+            out.planes[idx], out.k[idx] = part.planes, part.k
+        return out
 
     def keys(self) -> list[bytes]:
-        """Row-wise DenseMatrix.key(), cut from one buffer of the headers
-        (dim and k as 4-byte little-endian integers) and the planes."""
-        d = self.planes.shape[-1]
-        rows = np.empty(len(self), dtype=_key_dtype(d))
-        rows["dim"], rows["k"], rows["planes"] = d, self.k, self.planes
-        return rows.view(np.dtype((np.void, rows.itemsize))).tolist()
+        """Row-wise DenseMatrix.key(), in order: the rows of each width are
+        cut from one buffer of the headers (dim and k as 4-byte
+        little-endian integers) and the planes at that width."""
+        n, d = len(self), self.planes.shape[-1]
+        flat = self.planes.reshape(n, 4 * d * d)
+        if max(int(flat.max(initial=0)), -int(flat.min(initial=0))) < _KEY_BOUNDS[0]:
+            widths = np.zeros(n, dtype=np.intp)     # every row fits the narrowest
+        else:
+            widths = np.searchsorted(_KEY_BOUNDS, np.abs(flat).max(axis=1), side="right")
+        out = [None] * n
+        for w, idx in _rows_by_value(widths):
+            part = self[idx]
+            rows = np.empty(len(part), dtype=_key_dtype(d, _KEY_TYPES[w]))
+            rows["dim"], rows["k"], rows["planes"] = d, part.k, part.planes
+            keys = rows.view(np.dtype((np.void, rows.itemsize))).tolist()
+            if len(part) == n:
+                return keys
+            for i, key in zip(idx.tolist(), keys):
+                out[i] = key
+        return out
 
     def matrices(self) -> list[DenseMatrix]:
-        """The rows as DenseMatrix objects, each built on its own key bytes."""
+        """The rows as DenseMatrix objects, each built from its own key."""
         return matrices_from_keys(self.keys())
 
 
-def _key_dtype(d: int) -> np.dtype:
-    """One key as a record: the DenseMatrix.key() layout for dimension d."""
-    return np.dtype([("dim", "<u4"), ("k", "<u4"), ("planes", np.int64, (4, d, d))])
+def _rows_by_value(values: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
+    """(value, its rows) for each distinct value, smallest first; the rows
+    are a slice of all of them when every value is the same."""
+    if len(values) and (values == values[0]).all():
+        return [(int(values[0]), slice(None))]
+    uniq, which = np.unique(values, return_inverse=True)
+    return [(int(v), np.flatnonzero(which == i)) for i, v in enumerate(uniq)]
+
+
+def _key_dtype(d: int, width) -> np.dtype:
+    """One key as a record: the DenseMatrix.key() layout for dimension d
+    with planes of the signed integer type `width`."""
+    return np.dtype([("dim", "<u4"), ("k", "<u4"), ("planes", width, (4, d, d))])
 
 
 def matrices_from_keys(keys) -> list[DenseMatrix]:
-    """The DenseMatrix of each key (all of one dimension), built on the key
-    bytes themselves, with its exact largest coefficient."""
+    """The DenseMatrix of each key (all of one dimension), with its exact
+    largest coefficient; their int64 planes are read-only rows of one array."""
     if not keys:
         return []
     stack = MatrixStack.from_keys(keys)
-    d = stack.planes.shape[-1]
-    maxabs = np.abs(stack.planes).reshape(len(keys), -1).max(axis=1)
-    return [DenseMatrix._from_key(key, d, k, m)
-            for key, k, m in zip(keys, stack.k.tolist(), maxabs.tolist())]
+    planes = stack.planes.astype(np.int64)
+    planes.flags.writeable = False
+    maxabs = np.abs(planes).reshape(len(keys), -1).max(axis=1)
+    return [DenseMatrix._from_key(key, p, k, m)
+            for key, p, k, m in zip(keys, planes, stack.k.tolist(), maxabs.tolist())]

@@ -309,8 +309,9 @@ def test_b6_strict_order_and_center():
     )
 
 
-# SHA-256 of the B_6 element keys in enumeration order, captured before
-# Dimino's coset step took stacked products
+# SHA-256 of the B_6 elements in enumeration order, each as dim and k
+# (little-endian uint32) and its planes as little-endian int64, captured
+# before Dimino's coset step took stacked products
 B6_ORDER_DIGESTS = {
     "strict": "f1c9a36115c03afd2c2f0fd08b6ad91032f3ca2faa68347be5b148942e76ee61",
     "projective": "91a91ab25fe6c34dfa79c7c481098d9da081b341b70b755937cb4e9906e71e7d",
@@ -319,8 +320,22 @@ B6_ORDER_DIGESTS = {
 
 def test_b6_element_order_is_pinned():
     for mode, digest in B6_ORDER_DIGESTS.items():
-        keys = b"".join(x.key() for x in braid_image(2, 1, mode).elements)
-        assert hashlib.sha256(keys).hexdigest() == digest, mode
+        records = b"".join(x.dim.to_bytes(4, "little") + x.k.to_bytes(4, "little")
+                           + x.planes.astype("<i8").tobytes()
+                           for x in braid_image(2, 1, mode).elements)
+        assert hashlib.sha256(records).hexdigest() == digest, mode
+
+
+def test_group_keys_take_one_byte_per_coefficient():
+    """Every coefficient of these groups fits in int8, so each stored key
+    is the 8-byte header and 4 d^2 bytes of planes: the store cannot widen
+    without this count changing."""
+    groups = [braid_image(n, parity, mode) for n in (1, 2) for parity in (1, -1)
+              for mode in ("strict", "projective")]
+    groups += [monodromy_image(2), pauli_group_matrices(2)]
+    for group in groups:
+        d = group.generators[0].dim
+        assert {len(key) for key in group.keys} == {8 + 4 * d * d}, (d, group.mode)
 
 
 def test_b6_dimino_agrees_with_bfs():

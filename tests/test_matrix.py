@@ -369,7 +369,7 @@ def test_stack_keys_and_canonical_edge_cases():
 
 def test_stacks_and_matrices_from_keys():
     """MatrixStack.from_keys inverts keys(), and matrices_from_keys builds
-    each matrix on its own key bytes, with an exact _maxabs."""
+    each matrix from its own key, keeping that key, with an exact _maxabs."""
     rng = random.Random(17)
     mats = [DenseMatrix.from_entries([[rand_scalar(rng, span=9, kmax=3) for _ in range(3)]
                                       for _ in range(3)]) for _ in range(6)]
@@ -385,3 +385,91 @@ def test_stacks_and_matrices_from_keys():
         assert not b.planes.flags.writeable
     assert built[-1]._maxabs == 0
     assert matrices_from_keys([]) == []
+
+
+def width_edge_matrices():
+    """Matrices whose largest coefficient magnitude sits on each side of
+    every key width's bound, positive and negative, at d = 2, plus k = 300,
+    a zero matrix and a matrix beyond int32, each with the width in bytes
+    that its key must use."""
+    def single(top, k=0):
+        planes = np.zeros((4, 2, 2), dtype=np.int64)
+        planes[1, 0, 1] = top
+        planes[3, 1, 0] = 1 if top % 2 == 0 else 2
+        return DenseMatrix(planes, k)
+
+    cases = []
+    for bits, width in ((7, 1), (15, 2), (31, 4)):
+        bound = 1 << bits
+        for top in (bound - 1, -(bound - 1), bound, -bound):
+            cases.append((single(top), width if abs(top) < bound else 2 * width))
+    cases += [(single(5, 300), 1), (single(-(1 << 40) - 1, 3), 8),
+              (DenseMatrix.zeros(2), 1), (single(-3), 1)]
+    for m, _ in cases:
+        assert m.k in (0, 3, 300) and m._maxabs == int(np.abs(m.planes).max())
+    return cases
+
+
+def test_keys_take_the_narrowest_width():
+    """Each key is the header and the planes at the narrowest width that
+    holds the matrix; stacked keys() equal the single keys row by row, and
+    from_keys over the mixed widths and matrices_from_keys rebuild the
+    matrices in order, with read-only int64 planes and exact _maxabs."""
+    cases = width_edge_matrices()
+    mats = [m for m, _ in cases]
+    for m, width in cases:
+        key = m.key()
+        assert len(key) == 8 + 4 * 4 * width
+        assert key[:8] == (2).to_bytes(4, "little") + m.k.to_bytes(4, "little")
+        planes = np.frombuffer(key, dtype=f"i{width}", offset=8).reshape(4, 2, 2)
+        assert (planes == m.planes).all()
+    assert len({len(m.key()) for m in mats}) == 4
+    keys = [m.key() for m in mats]
+    stack = MatrixStack.of(mats)
+    assert stack.keys() == keys
+    narrow = MatrixStack.from_keys(keys)
+    assert narrow.rows_equal(stack).all() and narrow.keys() == keys
+    assert narrow.planes.dtype == np.int64 and not narrow.rows_equal(stack[::-1]).all()
+    for i in range(len(mats)):       # every rotation of the mixed widths
+        order = mats[i:] + mats[:i]
+        assert MatrixStack.from_keys([m.key() for m in order]).rows_equal(
+            MatrixStack.of(order)).all()
+    groups = [[m for m, w in cases if w == width] for width in (1, 2, 4, 8)]
+    for width, same in zip((1, 2, 4, 8), groups):    # one width: a narrow view
+        one = MatrixStack.from_keys([m.key() for m in same])
+        assert one.planes.dtype == np.dtype(f"i{width}") and not one.planes.flags.writeable
+        assert one.keys() == [m.key() for m in same]
+    for group in groups + [mats]:
+        keys = [m.key() for m in group]
+        for m, key, b in zip(group, keys, matrices_from_keys(keys)):
+            assert b == m and b.key() is key and b.k == m.k and b._maxabs == m._maxabs
+            assert b.planes.dtype == np.int64 and not b.planes.flags.writeable
+            assert b.planes.shape == (4, 2, 2)
+
+
+def test_stack_operations_on_narrow_stacks():
+    """@, premul, rows_equal, projective_canonical and normalized give the
+    same rows on a stack read from narrow keys as on MatrixStack.of of the
+    same matrices."""
+    rng = random.Random(23)
+    edges = [m for m, _ in width_edge_matrices() if not m.is_zero()]
+    ctx = RepContext(2)
+    braids = [eval_word(ctx, BraidWord(tuple((rng.randint(1, 5), rng.choice((1, -1)))
+                                             for _ in range(6)))) for _ in range(6)]
+    g = eval_word(ctx, BraidWord(((1, 1), (3, -1))))
+    cases = [(edges, DenseMatrix.phased_permutation(np.array([1, 0]), np.array([3, 6])))]
+    cases += [(braids, g), (braids + [rand_matrix(rng, 4, span=300) for _ in range(3)], g)]
+    for mats, h in cases:
+        keys = [m.key() for m in mats]
+        wide, narrow = MatrixStack.of(mats), MatrixStack.from_keys(keys)
+        d = mats[0].dim
+        assert narrow.planes.dtype.itemsize == (max(map(len, keys)) - 8) // (4 * d * d)
+        for op in (lambda s: s @ h, lambda s: s.premul(h),
+                   lambda s: MatrixStack.normalized(s.planes, s.k + 1),
+                   lambda s: s.projective_canonical()[1]):
+            a, b = op(narrow), op(wide)
+            assert a.rows_equal(b).all() and b.rows_equal(a).all()
+            assert a.keys() == b.keys()
+        assert (narrow.projective_canonical()[0] == wide.projective_canonical()[0]).all()
+        assert narrow.rows_equal(wide).all()
+        assert not narrow.rows_equal(MatrixStack.of(mats[1:] + mats[:1])).all()
