@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Every subcommand writes JSON to stdout (or a text rendering with
---format text) and is deterministic for fixed flags.  Exit codes: 0 on
-success, 1 when a verification-style command finds a failure, 2 on usage
-errors and on inputs too large to hold in memory.  COMMANDS is the one
-table of subcommands, and a call that names a command first builds only
-that command's parser.
+Every subcommand writes JSON to stdout (verify-relations also has a
+PASS/FAIL text rendering, --format text) and is deterministic for fixed
+flags.  Exit codes: 0 on success, 1 when a verification-style command
+finds a failure, 2 on usage errors and on inputs too large to hold in
+memory.  COMMANDS is the one table of subcommands, and a call that names
+a command first builds only that command's parser.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common(p, parity=True, forms=(), pretty=False):
-    """Adds the options most commands share, --format last; returns p."""
+    """Adds the options most commands share; returns p."""
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     if parity:
         p.add_argument("--parity", type=_parity, default=1)
@@ -52,16 +52,12 @@ def _common(p, parity=True, forms=(), pretty=False):
     if pretty:
         p.add_argument("--pretty", action="store_true",
                        help="add a complex-float rendering (display only)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     return p
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write((text if text is not None else json.dumps(payload, indent=2)) + "\n")
+def _emit(payload: dict) -> None:
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _pretty_complex(z: complex) -> str:
@@ -82,7 +78,10 @@ def _matrix_payload(mat: DenseMatrix, pretty: bool) -> dict:
 def _target_matrix(args, n: int) -> DenseMatrix:
     if args.target.startswith("file:"):
         with open(args.target[5:], encoding="utf-8") as fh:
-            return DenseMatrix.from_json_dict(json.load(fh))
+            mat = DenseMatrix.from_json_dict(json.load(fh))
+        if mat.dim != 2 ** n:
+            raise ValueError("target dimension does not match the context")
+        return mat
     return parse_gate_target(n, args.target)
 
 
@@ -90,19 +89,21 @@ def _gen_matrix_args(p) -> None:
     which = _common(p, forms=FORMS, pretty=True).add_mutually_exclusive_group(required=True)
     which.add_argument("--generator", type=int, help="braid generator index")
     which.add_argument("--gate", choices=("phase", "hadamard_last", "cz_pair", "cz_swap_pair"))
-    p.add_argument("--qubit", type=int, default=1)
+    p.add_argument("--qubit", type=int, help="qubit of a --gate (default 1)")
 
 
 def cmd_gen_matrix(args) -> int:
+    if args.qubit is not None and args.gate in (None, "hadamard_last"):
+        raise ValueError("--qubit applies to --gate phase, cz_pair and cz_swap_pair only")
     ctx = RepContext(args.n, args.parity, args.form)
     if args.generator is not None:
         mat = braid_generator(ctx, args.generator)
-        _emit(args, _matrix_payload(mat, args.pretty))
+        _emit(_matrix_payload(mat, args.pretty))
         return 0
-    word, mat = named_gate(ctx, args.gate, args.qubit)
+    word, mat = named_gate(ctx, args.gate, 1 if args.qubit is None else args.qubit)
     payload = _matrix_payload(mat, args.pretty)
     payload["word"] = word.to_text()
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -114,8 +115,13 @@ def _eval_word_args(p) -> None:
 def cmd_eval_word(args) -> int:
     ctx = RepContext(args.n, args.parity, args.form)
     mat = eval_word(ctx, BraidWord.from_text(args.word))
-    _emit(args, _matrix_payload(mat, args.pretty))
+    _emit(_matrix_payload(mat, args.pretty))
     return 0
+
+
+def _verify_relations_args(p) -> None:
+    _common(p, parity=False).add_argument("--format", choices=("json", "text"),
+                                          default="json")
 
 
 def cmd_verify_relations(args) -> int:
@@ -123,8 +129,11 @@ def cmd_verify_relations(args) -> int:
     checks = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in results]
     failed = [c for c in checks if not c["ok"]]
     payload = {"n_max": args.n, "checks": checks, "failed": len(failed), "ok": not failed}
-    text = "\n".join(("PASS " if c["ok"] else "FAIL ") + c["name"] for c in checks)
-    _emit(args, payload, text)
+    if args.format == "text":
+        sys.stdout.write("\n".join(("PASS " if c["ok"] else "FAIL ") + c["name"]
+                                   for c in checks) + "\n")
+    else:
+        _emit(payload)
     return 1 if failed else 0
 
 
@@ -133,7 +142,7 @@ def cmd_orders(args) -> int:
     payload = orders.to_json_dict()
     payload["sp_2n_2"] = sp_order(args.n, 2)
     payload["coverage_ratio"] = str(coverage_ratio(args.n))
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
@@ -148,22 +157,19 @@ def cmd_enumerate(args) -> int:
         orders = group_orders(args.n)
         count = (orders.braid_image if args.mode == "strict"
                  else orders.braid_image_mod_center)
-        sys.stderr.write(
-            f"error: enumerating the {args.mode} braid image for n = {args.n} stores "
-            f"{count:,} exact matrices; pass --heavy to confirm\n"
-        )
-        return 2
+        raise ValueError(f"enumerating the {args.mode} braid image for n = {args.n} stores "
+                         f"{count:,} exact matrices; pass --heavy to confirm")
     enum = braid_image(args.n, args.parity, args.mode)
     payload = enum.summary()
     if args.dump_elements:
         payload["elements"] = [el.to_json_dict() for el in enum.elements]
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
 def cmd_monodromy_check(args) -> int:
     verdict = monodromy_equals_pauli(args.n, args.parity)
-    _emit(args, verdict.to_json_dict())
+    _emit(verdict.to_json_dict())
     return 0 if verdict.equal else 1
 
 
@@ -186,7 +192,7 @@ def cmd_clifford_check(args) -> int:
            else _target_matrix(args, args.n))
     act = clifford_check(mat)
     clifford = isinstance(act, CliffordAction)
-    _emit(args, {"clifford": clifford, **act.to_json_dict()})
+    _emit({"clifford": clifford, **act.to_json_dict()})
     return 0 if clifford else 1
 
 
@@ -199,13 +205,13 @@ def cmd_symplectic(args) -> int:
         "basis_change": basis_change_t(n).to_bitstrings(),
         "tilde": {str(j): tildes[j - 1].to_bitstrings() for j in range(1, 2 * n + 2)},
     }
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
 def cmd_faithfulness(args) -> int:
     verdict = faithfulness_check(args.n)
-    _emit(args, verdict.to_json_dict())
+    _emit(verdict.to_json_dict())
     return 0 if verdict.ok else 1
 
 
@@ -214,15 +220,13 @@ def _synth_args(p) -> None:
                             help="cz:1,2 | swap:1,2 | h:1 | p:1 | file:m.json")
     p.add_argument("--max-depth", type=int)
     p.add_argument("--cap", type=int, default=10 ** 7)
-    p.add_argument("--heavy", action="store_true")
 
 
 def cmd_synth(args) -> int:
     ctx = RepContext(args.n, args.parity)
     target = _target_matrix(args, args.n)
-    res = synthesize(ctx, target, max_depth=args.max_depth, cap=args.cap,
-                     allow_heavy=args.heavy)
-    _emit(args, res.to_json_dict())
+    res = synthesize(ctx, target, max_depth=args.max_depth, cap=args.cap)
+    _emit(res.to_json_dict())
     return 0 if res.verdict == "realizable" else 1
 
 
@@ -230,7 +234,7 @@ def cmd_reach(args) -> int:
     ctx = RepContext(args.n, args.parity)
     target = _target_matrix(args, args.n)
     res = reachability(ctx, target)
-    _emit(args, res.to_json_dict())
+    _emit(res.to_json_dict())
     return 0 if res.verdict == "reachable" else 1
 
 
@@ -242,7 +246,7 @@ def _missing_gates_args(p) -> None:
 
 def cmd_missing_gates(args) -> int:
     report = missing_gate_report(args.n, check_generation=args.check_generation)
-    _emit(args, report.to_json_dict())
+    _emit(report.to_json_dict())
     return 0
 
 
@@ -250,7 +254,6 @@ def _fusion_args(p) -> None:
     p.add_argument("--num-sigma", type=int, required=True)
     p.add_argument("--parity", type=_parity, default=1)
     p.add_argument("--labels", action="store_true")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def cmd_fusion(args) -> int:
@@ -267,14 +270,14 @@ def cmd_fusion(args) -> int:
             FusionLabel.from_index(n, i, args.parity).to_json_dict()
             for i in range(2 ** n)
         ]
-    _emit(args, payload)
+    _emit(payload)
     return 0
 
 
 COMMANDS = {  # name: (help, adds the command's arguments, handler)
     "gen-matrix": ("matrix of a generator or a named gate word", _gen_matrix_args, cmd_gen_matrix),
     "eval-word": ("evaluate a braid word", _eval_word_args, cmd_eval_word),
-    "verify-relations": ("run the exact identity battery", lambda p: _common(p, parity=False),
+    "verify-relations": ("run the exact identity battery", _verify_relations_args,
                          cmd_verify_relations),
     "orders": ("closed-form group orders", lambda p: _common(p, parity=False), cmd_orders),
     "enumerate": ("enumerate the braid image", _enumerate_args, cmd_enumerate),

@@ -65,14 +65,15 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
     """All elements of the group generated by `generators`, as the keys of
     a dict (values None) in enumeration order.
 
-    Inductive closure over an increasing chain of subgroups: close the
-    first generator into a cyclic group, then extend by whole cosets for
-    each later generator.  Elements must be hashable with exact equality.
-    `cosets(prev)`, if given, returns a function mapping t to the products
-    e*t for e in prev, in order, as an iterable of blocks (lists); by
-    default the whole coset is one block of `mul` products.  A block is
-    pushed without a membership test, so one that holds a stored element
-    (or one element twice) raises RuntimeError.
+    Inductive closure over an increasing chain of subgroups, starting
+    from the trivial one: each generator extends the group by whole
+    cosets, so the first one only adds its powers.  Elements must be
+    hashable with exact equality.  `cosets(prev)`, if given, returns a
+    function mapping t to the products e*t for e in prev (a nonempty
+    list), in order, as an iterable of blocks (lists); by default, and
+    while prev is empty, the whole coset is one block of `mul` products.
+    A block is pushed without a membership test, so one that holds a
+    stored element (or one element twice) raises RuntimeError.
     """
     gens = [g for g in generators if g != identity]
     elements = {identity: None}
@@ -85,21 +86,12 @@ def dimino(generators, identity, mul=_strict_mul, cap: int = DEFAULT_CAP,
         if len(elements) != size + len(block):
             raise RuntimeError("a Dimino coset overlaps the stored elements")
 
-    if not gens:
-        return elements
-
-    g = gens[0]
-    x = g
-    while x != identity:
-        push([x])
-        x = mul(x, g)
-
-    for i in range(1, len(gens)):
+    for i in range(len(gens)):
         if gens[i] in elements:
             continue
         # the identity, stored first, maps t to t itself
         prev = list(elements)[1:]
-        coset = cosets(prev) if cosets else (lambda t: ([mul(e, t) for e in prev],))
+        coset = cosets(prev) if cosets and prev else (lambda t: ([mul(e, t) for e in prev],))
         reps = []
 
         def add_coset(t):

@@ -51,7 +51,7 @@ from .pauli import PauliElement
 from .symplectic import (CliffordAction, NonClifford, braid_symplectic, clifford_check,
                          group_orders, sp_order, symmetric_degree)
 
-HEAVY_BFS_QUBITS = 4  # full-image BFS from this n on needs an explicit opt-in
+HEAVY_BFS_QUBITS = 4  # full-image BFS from this n on needs a max_depth
 
 
 @dataclass(frozen=True)
@@ -288,12 +288,13 @@ def reachability(ctx: RepContext, target: DenseMatrix) -> ReachResult:
 
 
 def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = None,
-               cap: int = 10 ** 7, allow_heavy: bool = False) -> SynthResult:
+               cap: int = 10 ** 7) -> SynthResult:
     """BFS over signed Majorana permutations for a shortest braid word
     whose evaluation equals the target up to a z-power (re-verified
     exactly before returning).  The target's permutation comes from
     reachability(), whose Clifford check also rejects a non-unitary
-    target."""
+    target.  From n = HEAVY_BFS_QUBITS on the search needs a max_depth;
+    one at or beyond the depth where it ends gives the same result."""
     if target.dim != ctx.dim:
         raise ValueError("target dimension does not match the context")
     if max_depth is not None and max_depth < 0:
@@ -303,9 +304,9 @@ def synthesize(ctx: RepContext, target: DenseMatrix, max_depth: int | None = Non
     reach = reachability(ctx, target)
     if reach.verdict != "reachable":
         return SynthResult("unrealizable", None, None, 0, 0, reach.to_json_dict())
-    if ctx.n_qubits >= HEAVY_BFS_QUBITS and max_depth is None and not allow_heavy:
+    if ctx.n_qubits >= HEAVY_BFS_QUBITS and max_depth is None:
         raise ValueError(f"full-image BFS for n >= {HEAVY_BFS_QUBITS} is heavy; "
-                         "pass max_depth or allow_heavy=True")
+                         "bound it with --max-depth")
 
     perm, flip = _move_tables(ctx)
     # the letters of the moves in the order of the move tables

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -63,6 +64,10 @@ def test_gen_matrix_generator_and_gate(capsys):
         capsys, "gen-matrix", "--n", "2", "--gate", "cz_swap_pair", "--qubit", "1")
     assert code == 0
     assert payload["word"] == "2 3 1 2"
+    # an omitted --qubit is qubit 1
+    gate = ("gen-matrix", "--n", "2", "--gate", "phase")
+    assert run_cli(capsys, *gate) == run_cli(capsys, *gate, "--qubit", "1")
+    assert run_cli(capsys, *gate) != run_cli(capsys, *gate, "--qubit", "2")
 
 
 def test_verify_relations_exit_zero(capsys):
@@ -222,11 +227,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         code, out, err = run_cli(capsys, "clifford-check", "--n", "1", "--target", f"file:{f}")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
-    f = tmp_path / "identity2.json"
-    f.write_text(json.dumps(DenseMatrix.identity(2).to_json_dict()), encoding="utf-8")
-    code, out, err = run_cli(capsys, "reach", "--n", "2", "--target", f"file:{f}")
-    assert (code, out) == (2, "")
-    assert err == "error: target dimension does not match the context\n"
+    # a file: target of dimension other than 2^n, before any command reads it
+    for n, dim in (("2", 2), ("3", 0), ("3", 1), ("3", 2)):
+        f = tmp_path / f"identity{dim}.json"
+        f.write_text(json.dumps(DenseMatrix.identity(dim).to_json_dict()), encoding="utf-8")
+        for command in ("clifford-check", "reach", "synth"):
+            assert run_cli(capsys, command, "--n", n, "--target", f"file:{f}") == \
+                (2, "", "error: target dimension does not match the context\n"), (command, dim)
+    # --qubit is refused where it would be ignored
+    for which in (["--generator", "1"], ["--gate", "hadamard_last"]):
+        assert run_cli(capsys, "gen-matrix", "--n", "2", *which, "--qubit", "2") == \
+            (2, "", "error: --qubit applies to --gate phase, cz_pair and cz_swap_pair only\n")
+    # the n >= 4 search is bounded with --max-depth, the option it names
+    assert run_cli(capsys, "synth", "--n", "4", "--target", "x:1") == \
+        (2, "", "error: full-image BFS for n >= 4 is heavy; bound it with --max-depth\n")
     for argv, message in ((["frobnicate"], "error: argument command: invalid choice"),
                           (["gen-matrix", "--n", "1"],
                            "error: one of the arguments --generator --gate is required"),
@@ -239,7 +253,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           (["clifford-check", "--n", "1"],
                            "error: one of the arguments --word --target is required"),
                           (["clifford-check", "--n", "1", "--word", "2", "--target", "h:1"],
-                           "error: argument --target: not allowed with argument --word")):
+                           "error: argument --target: not allowed with argument --word"),
+                          # --format acts on verify-relations only; synth has no --heavy
+                          (["orders", "--n", "2", "--format", "text"],
+                           "error: unrecognized arguments: --format text\n"),
+                          (["synth", "--n", "2", "--target", "h:1", "--heavy"],
+                           "error: unrecognized arguments: --heavy\n")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -319,6 +338,20 @@ def test_golden_outputs_byte_identical(capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code == expected_code, argv
             assert out == golden, argv
+
+
+def test_cli_options_are_pinned():
+    """Every option of every command, as the parser holds it, equals the
+    golden: a new option has to be added there on purpose."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                            for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    golden = json.loads((GOLDEN_DIR / "cli_options.json").read_text(encoding="utf-8"))
+    assert options == golden
+    assert sum(map(len, golden.values())) == 42
+    assert [name for name, opts in golden.items() if "--format" in opts] == ["verify-relations"]
 
 
 def test_deterministic_output(capsys):

@@ -506,6 +506,18 @@ def test_n2_search_reaches_every_class_once(parity):
         assert (res.verdict, res.explored) == ("exhausted", sum(N2_LEVEL_SIZES[:depth + 1]))
 
 
+@pytest.mark.parametrize("parity", [1, -1])
+def test_diameter_bound_runs_the_unbounded_search_at_n2(parity):
+    # a max_depth at the diameter of the search changes nothing, which is
+    # why n >= HEAVY_BFS_QUBITS needs no switch besides max_depth
+    ctx = RepContext(2, parity)
+    diameter = len(N2_LEVEL_SIZES) - 1
+    assert diameter == 15
+    for spec in README_TARGETS:
+        target = parse_gate_target(2, spec)
+        assert synthesize(ctx, target) == synthesize(ctx, target, max_depth=diameter), spec
+
+
 def _apply_moves(ctx, letters):
     """The code row of a word, composed from the move tables letter by letter."""
     perm, flip = synth._move_tables(ctx)
