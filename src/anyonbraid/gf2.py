@@ -34,18 +34,11 @@ class BitMatrix:
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_bitstrings(cls, strings) -> BitMatrix:
-        return cls.from_rows([[int(c) for c in s] for s in strings])
-
     def to_bitstrings(self) -> list[str]:
         return ["".join(str((r >> j) & 1) for j in range(self.n)) for r in self.rows]
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
@@ -109,16 +102,6 @@ class BitMatrix:
                     a[r] ^= a[col]
                     b[r] ^= b[col]
         return BitMatrix(n, tuple(b))
-
-    def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except ZeroDivisionError:
-            return False
-
-    def popcount(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows)
 
 
 def omega_matrix(n_qubits: int) -> BitMatrix:

@@ -138,27 +138,27 @@ def _key_cosets(projective: bool):
 class GroupEnumeration:
     """An enumerated group of DenseMatrix elements: its generators
     (canonical in projective mode), its mode ("strict" or "projective") and
-    the keys (DenseMatrix.key()) of its elements, as the keys of the dict
-    `ordered` in enumeration order (as dimino returns them).  `keys` is
-    their set-like view; `elements` builds the matrices on first read."""
+    the keys (DenseMatrix.key()) of its elements, held once as the set-like,
+    ordered view `keys` of the dict that dimino returns (enumeration
+    order); `elements` builds the matrices on first read."""
 
-    __slots__ = ("generators", "mode", "keys", "_ordered", "_elements")
+    __slots__ = ("generators", "mode", "keys", "_elements")
 
     def __init__(self, generators, mode: str, ordered: dict):
         self.generators = tuple(generators)
         self.mode = mode
         self.keys = ordered.keys()
-        self._ordered, self._elements = list(ordered), None
+        self._elements = None
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(matrices_from_keys(self._ordered))
+            self._elements = tuple(matrices_from_keys(list(self.keys)))
         return self._elements
 
     @property
     def order(self) -> int:
-        return len(self._ordered)
+        return len(self.keys)
 
     def canonical(self, element):
         if self.mode == "projective":
@@ -203,8 +203,8 @@ class GroupEnumeration:
         meet the next one."""
         gens = [self.canonical(g) for g in self.generators]
         paulis = self._pauli_keys()
-        candidates = (self._ordered if paulis is None
-                      else [k for k in self._ordered if k in paulis])
+        candidates = (list(self.keys) if paulis is None
+                      else [k for k in self.keys if k in paulis])
         out = []
         for start in range(0, len(candidates), BLOCK_ROWS):
             block = candidates[start:start + BLOCK_ROWS]

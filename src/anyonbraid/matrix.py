@@ -1,8 +1,9 @@
 """Dense square matrices over the exact scalar ring.
 
 A matrix is stored as four int64 coefficient planes (one per power of
-z = exp(i*pi/4)) plus a shared power-of-two denominator, kept in normal
-form so equality and hashing are exact.  An operation whose exact result
+z = exp(i*pi/4)) plus a shared power-of-two denominator, kept in the
+normal form of ring.twos_shift (k == 0 or some coefficient odd) so
+equality and hashing are exact.  An operation whose exact result
 could reach 2^62 in magnitude raises ValueError instead of wrapping
 around, so every result is exact.
 
@@ -20,8 +21,9 @@ G[r, perm[r]] = z^zpow[r] acts on the left as one gather; sigma_x, the
 braid letter rule and the gate constructors are such gathers.
 
 `MatrixStack` holds many matrices of one dimension as stacked planes with
-a denominator exponent per matrix; its normal form, projective canonical
-form and keys agree row by row with DenseMatrix, so Dimino cosets and the
+a denominator exponent per matrix; its normal form (the same
+ring.twos_shift, one pass over the rows), projective canonical form and
+keys agree row by row with DenseMatrix, so Dimino cosets and the
 center scan run one stacked product per `BLOCK_ROWS` matrices.
 A key is one record: dim and k as little-endian uint32, then the planes
 in the narrowest signed integer type that holds the matrix's largest
@@ -39,7 +41,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .ring import ZCONJ, ZROT, CycScalar, zfold
+from .ring import ZCONJ, ZROT, CycScalar, twos_shift, zfold
 
 _INT64_SAFE = 1 << 62
 # float64 holds every integer below 2^53 exactly, so a product whose partial
@@ -137,10 +139,7 @@ class DenseMatrix:
         if planes.ndim != 3 or planes.shape[0] != 4 or planes.shape[1] != planes.shape[2]:
             raise ValueError("planes must have shape (4, dim, dim)")
         if not _normalized and k > 0:
-            # the lowest set bit of the OR of all coefficients (two's
-            # complement keeps it for negatives) is the power of 2 dividing all
-            bits = int(np.bitwise_or.reduce(planes, axis=None))
-            shift = min(k, (bits & -bits).bit_length() - 1) if bits else k
+            shift = twos_shift(int(np.bitwise_or.reduce(planes, axis=None)), k)
             if shift:
                 planes = planes >> shift
                 k -= shift
@@ -363,18 +362,15 @@ class MatrixStack:
 
     @classmethod
     def normalized(cls, planes: np.ndarray, k: np.ndarray) -> MatrixStack:
-        """Divide each matrix by 2 while its k > 0 and its coefficients are
-        all even; a zero matrix gets k = 0 (the DenseMatrix normal form)."""
+        """ring.twos_shift row by row: divide each matrix by the lowest set
+        bit of the OR of its coefficients, read as a float's exponent, at
+        most its k; a zero matrix loses all of k."""
         bits = np.bitwise_or.reduce(planes.reshape(len(k), -1), axis=1)
-        shift = np.zeros_like(k)
-        while True:
-            even = (shift < k) & (((bits >> shift) & 1) == 0)
-            if not even.any():
-                break
-            shift += even
+        low = np.frexp(bits & -bits)[1] - 1
+        shift = np.where(bits != 0, np.minimum(k, low), k)
         if shift.any():
             planes = planes >> shift[:, None, None, None]
-        return cls(planes, np.where(bits != 0, k - shift, 0))
+        return cls(planes, k - shift)
 
     @classmethod
     def concatenate(cls, stacks) -> MatrixStack:

@@ -177,7 +177,8 @@ def pauli_basis_decompose(mat: DenseMatrix) -> list[tuple[int, CycScalar]]:
     diag = np.arange(d)
     out = []
     for x in range(4 ** n):
-        perm, ipow = pauli_sparse(x, n)
+        # uncached: one expansion would otherwise keep all 4^n tables
+        perm, ipow = pauli_sparse.__wrapped__(x, n)
         # tr(sigma_x^dagger mat) = sum_r i^(-ipow[r]) mat[r, perm[r]]
         s = rows[phased_row_index(diag, -2 * ipow), perm].sum(axis=1)
         c = CycScalar(int(s[0]), int(s[1]), int(s[2]), int(s[3]), mat.k + n)

@@ -4,6 +4,11 @@ Every matrix entry in this package is such a scalar, so group elements
 hash and compare exactly and enumeration needs no floating-point
 tolerance.  Coefficients are plain Python ints (arbitrary precision),
 denominators are powers of two only.
+
+One 2-adic normal form holds for scalars, matrices and stacks: k == 0 or
+some coefficient is odd.  `twos_shift` is its one rule, the power of two
+to divide out of coefficients over 2^k; CycScalar and matrix.DenseMatrix
+call it, and matrix.MatrixStack.normalized applies it row by row.
 """
 
 from __future__ import annotations
@@ -47,6 +52,14 @@ def zfold(t):
             t[0][3] + t[1][2] + t[2][1] + t[3][0])
 
 
+def twos_shift(bits: int, k: int) -> int:
+    """The power of 2 that brings coefficients over 2^k to normal form,
+    given the OR `bits` of the coefficients: the lowest set bit of bits
+    (two's complement keeps it for negatives), at most k, and all of k
+    when bits is 0, so that zero gets k = 0."""
+    return min(k, (bits & -bits).bit_length() - 1) if bits else k
+
+
 # The z-power rule as indices into the signed planes (a_0..a_3, -a_0..-a_3)
 # of a = sum a_p z^p: plane p of z^t a is signed plane ZROT[t][p], and plane
 # p of conj(a) (z^p -> z^-p) is ZCONJ[p]; every rotation reads these tables.
@@ -57,8 +70,8 @@ ZCONJ = tuple(-p % 8 for p in range(4))
 class CycScalar:
     """(c0 + c1*z + c2*z^2 + c3*z^3) / 2^k with z = exp(i*pi/4), z^4 = -1.
 
-    Normal form: k == 0 or at least one coefficient odd.  The normal form
-    is unique, so structural equality is mathematical equality.
+    Normal form (twos_shift): k == 0 or at least one coefficient odd.  The
+    normal form is unique, so structural equality is mathematical equality.
     """
 
     __slots__ = ("c0", "c1", "c2", "c3", "k")
@@ -66,19 +79,12 @@ class CycScalar:
     def __init__(self, c0: int, c1: int = 0, c2: int = 0, c3: int = 0, k: int = 0):
         if k < 0:
             raise ValueError("denominator exponent must be non-negative")
-        while k > 0 and not ((c0 | c1 | c2 | c3) & 1):
-            c0 >>= 1
-            c1 >>= 1
-            c2 >>= 1
-            c3 >>= 1
-            k -= 1
-        if not (c0 | c1 | c2 | c3):
-            k = 0
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "k", k)
+        s = twos_shift(c0 | c1 | c2 | c3, k)
+        object.__setattr__(self, "c0", c0 >> s)
+        object.__setattr__(self, "c1", c1 >> s)
+        object.__setattr__(self, "c2", c2 >> s)
+        object.__setattr__(self, "c3", c3 >> s)
+        object.__setattr__(self, "k", k - s)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -209,10 +215,6 @@ class CycScalar:
                 and all(type(x) is int for x in data)):
             raise ValueError("a scalar must be 5 integers [c0, c1, c2, c3, k]")
         return cls(*data)
-
-    @classmethod
-    def zeta_power(cls, t: int) -> CycScalar:
-        return ONE.mul_zeta(t)
 
 
 ZERO = CycScalar(0)

@@ -60,14 +60,15 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
 
     The unitarity check U U^dagger = I is the one dense product.  For each
     generator g, U sigma_g is a signed column permutation of U (all 2n are
-    one gather).  Of W_g = U sigma_g U^dagger only row 0 (one stacked
-    vector-matrix product for all g) and the n entries W_g[b, b ^ x_g] are
-    formed, and pauli.read_term reads a candidate W_g = c sigma_v from them.
-    It is accepted only if c = i^m, read as the i-power of W_g[0, x_g] =
-    c i^ipow_v[0] less ipow_v[0], and U sigma_g == i^m sigma_v U exactly;
-    that compares two signed permutations of U and, U being unitary, is
-    equivalent to W_g = c sigma_v.  The verdict is CliffordAction(s, f) when
-    every generator passes (s is then checked symplectic); otherwise W_g is
+    one gather).  Of W_g = U sigma_g U^dagger only row 0 (one product for
+    all g, with the 2n rows as its fixed factor) and the n entries
+    W_g[b, b ^ x_g] are formed, and pauli.read_term reads a candidate
+    W_g = c sigma_v from them.  It is accepted only if c = i^m, read as the
+    i-power of W_g[0, x_g] = c i^ipow_v[0] less ipow_v[0], and
+    U sigma_g == i^m sigma_v U exactly; that compares two signed
+    permutations of U and, U being unitary, is equivalent to
+    W_g = c sigma_v.  The verdict is CliffordAction(s, f) when every
+    generator passes (s is then checked symplectic); otherwise W_g is
     formed for the first generator that fails and NonClifford reports its
     exact Pauli-basis expansion.
     """
@@ -80,8 +81,11 @@ def clifford_check(u: DenseMatrix) -> CliffordAction | NonClifford:
     udag = u.dagger()
     u_sigmas = pauli_columns(u, [1 << g for g in range(2 * n)])
     # row 0 of every W_g = U sigma_g U^dagger, and in it the column x_g of
-    # the first nonzero entry
-    row0 = _product(u_sigmas[:, :, :1, :], udag.planes, u._maxabs, u._maxabs)[:, :, 0, :]
+    # the first nonzero entry: (U^dagger)^T times the (4, d, 2n) rows 0 of
+    # the U sigma_g, so that the block _product builds of its fixed factor
+    # is (4d, 8n), not (4d, 4d)
+    rows = u_sigmas[:, :, 0, :].transpose(1, 2, 0)
+    row0 = _product(udag.planes.transpose(0, 2, 1), rows, u._maxabs, u._maxabs).transpose(2, 0, 1)
     nonzero = row0.any(axis=1)
     xs = nonzero.argmax(axis=1)
     # W_g[b, b ^ x_g] for b = 2^(n-1-q), from the 16 partial sums of each;

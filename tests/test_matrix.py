@@ -214,6 +214,54 @@ def test_normal_form_divides_out_powers_of_two(k):
     assert zero.k == 0 and zero == DenseMatrix.zeros(2)
 
 
+@st.composite
+def shifted_stacks(draw):
+    """(planes, k, shift): rows of base coefficients in -3..3 times 2^shift
+    for shifts up to 61 (each nonzero row has an odd base coefficient, so its
+    coefficients' lowest set bit is the shift), with k below, equal to or
+    above the shift, and zero rows with k > 0."""
+    d = draw(st.integers(1, 3))
+    rows, ks, shifts = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        shift = draw(st.integers(0, 61))
+        if draw(st.integers(0, 4)) == 0:
+            base, k = [0] * (4 * d * d), draw(st.integers(1, 70))
+        else:
+            base = draw(st.lists(st.integers(-3, 3), min_size=4 * d * d, max_size=4 * d * d))
+            base[draw(st.integers(0, 4 * d * d - 1))] = draw(st.sampled_from((-3, -1, 1, 3)))
+            k = draw(st.sampled_from((max(shift - 1, 0), shift, shift + 1,
+                                      draw(st.integers(0, 70)))))
+        rows.append(np.array(base, dtype=np.int64).reshape(4, d, d) << shift)
+        ks.append(k)
+        shifts.append(shift)
+    return np.stack(rows), np.array(ks, dtype=np.int64), shifts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shifted_stacks())
+def test_normal_form_agrees_for_stacks_matrices_and_scalars(data):
+    """MatrixStack.normalized, DenseMatrix(planes, k) and the CycScalar of
+    every entry apply one rule (ring.twos_shift): row by row they give the
+    same planes and k, the shift is min(k, shift) (all of k for a zero row),
+    and the matrix's k is the largest k of its entries' normal forms."""
+    planes, ks, shifts = data
+    stack = MatrixStack.normalized(planes, ks)
+    d = planes.shape[-1]
+    for i, shift in enumerate(shifts):
+        k = int(ks[i])
+        m = DenseMatrix(planes[i], k)
+        assert stack.planes[i].tolist() == m.planes.tolist() and int(stack.k[i]) == m.k
+        if planes[i].any():
+            assert m.k == k - min(k, shift)
+            assert m.planes.tolist() == (planes[i] >> min(k, shift)).tolist()
+        else:
+            assert m.k == 0 and not m.planes.any()
+        entries = [CycScalar(*planes[i][:, a, b].tolist(), k)
+                   for a in range(d) for b in range(d)]
+        assert [m.entry(a, b) for a in range(d) for b in range(d)] == entries
+        assert m.k == max(s.k for s in entries)
+
+
 def test_mul_zeta_rotation():
     rng = random.Random(17)
     a = rand_matrix(rng, 2)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,3 +363,16 @@ def mixed_unitaries(draw, max_qubits=3):
 @given(st.one_of(braid_unitaries(), mixed_unitaries()))
 def test_clifford_check_matches_dense_product_reader(u):
     assert clifford_check(u) == clifford_check_by_dense_products(u)
+
+
+def test_witness_expansion_leaves_the_pauli_cache_small():
+    """A non-Clifford witness expands in all 4^n Paulis without caching
+    their tables: after T on qubit 1 at n = 5 the pauli_sparse cache holds
+    at most the 4n entries that clifford_check itself reads (not 4^n)."""
+    n = 5
+    d = 1 << n
+    t = DenseMatrix.phased_permutation(np.arange(d), (np.arange(d) >> (n - 1)) & 1)
+    pauli_sparse.cache_clear()
+    verdict = clifford_check(t)
+    assert isinstance(verdict, NonClifford) and len(verdict.expansion) == 2
+    assert pauli_sparse.cache_info().currsize <= 4 * n
